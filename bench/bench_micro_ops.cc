@@ -8,7 +8,10 @@
 
 #include <mutex>  // NOLINT(vcd-annotated-mutex): baseline for the vcd::Mutex overhead pin
 
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/detector.h"
 #include "util/logging.h"
@@ -119,25 +122,73 @@ void BM_BuildBitSignature(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildBitSignature)->Arg(100)->Arg(800)->Arg(3000);
 
-void BM_IndexProbe(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int k = 800;
-  auto fam = MinHashFamily::Create(k).value();
+// --- Hash-Query index --------------------------------------------------------
+// Args: m, then the content regime. Regime 0 is a shared vocabulary: every
+// query and the window draw from one 1024-cell universe, so most queries
+// share some min-hash value with any window. Regime 1 is distinct content:
+// query q draws from its own 100 cells and the window replays query 0's.
+
+constexpr int kIndexK = 800;
+
+struct IndexBenchSet {
+  std::vector<Sketch> sketches;  ///< ordinal q's sketch
+  std::vector<index::HashQueryIndex::Query> queries;
+  Sketch window;
+  Sketch extra;  ///< the query Insert/Remove cycle, at ordinal m
+};
+
+/// One sketch set per (m, regime), made once: m = 10 000 takes seconds.
+const IndexBenchSet& IndexSet(int m, bool distinct) {
+  static std::map<std::pair<int, bool>, std::unique_ptr<IndexBenchSet>> cache;
+  std::unique_ptr<IndexBenchSet>& set = cache[{m, distinct}];
+  if (set) return *set;
+  set = std::make_unique<IndexBenchSet>();
+  auto fam = MinHashFamily::Create(kIndexK).value();
   Sketcher sk(&fam);
   Rng rng(7);
-  std::vector<Sketch> sketches;
-  std::vector<index::QueryInfo> infos;
+  const auto cells = [&](int q, size_t n) {
+    std::vector<CellId> ids = RandomIds(&rng, n, distinct ? 100 : 1024);
+    if (distinct) {
+      for (CellId& id : ids) id += static_cast<CellId>(q) * 100;
+    }
+    return ids;
+  };
+  for (int q = 0; q < m; ++q) set->sketches.push_back(sk.FromSequence(cells(q, 80)));
   for (int q = 0; q < m; ++q) {
-    sketches.push_back(sk.FromSequence(RandomIds(&rng, 80)));
-    infos.push_back(index::QueryInfo{q + 1, 80});
+    set->queries.push_back({q, &set->sketches[static_cast<size_t>(q)]});
   }
-  auto idx = index::HashQueryIndex::Build(sketches, infos).value();
-  Sketch w = sk.FromSequence(RandomIds(&rng, 12));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.Probe(w, 0.7));
-  }
+  set->window = sk.FromSequence(cells(0, 12));
+  set->extra = sk.FromSequence(cells(m, 80));
+  return *set;
 }
-BENCHMARK(BM_IndexProbe)->Arg(10)->Arg(50)->Arg(200);
+
+/// The paper's ProbeIndex: the related queries of one window, each with its
+/// Lemma-2-pruned bit signature, built query-major as the detector does.
+void BM_IndexProbe(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const IndexBenchSet& set = IndexSet(m, state.range(1) != 0);
+  auto idx = index::HashQueryIndex::Build(kIndexK, set.queries).value();
+  sketch::SignaturePool pool(kIndexK);
+  std::vector<uint64_t> seen;
+  std::vector<int> related;
+  std::vector<sketch::SignaturePool::Handle> kept;
+  for (auto _ : state) {
+    idx.ProbeRelatedInto(set.window, &seen, &related);
+    for (int q : related) {
+      const sketch::SignaturePool::Handle h = pool.Allocate();
+      pool.BuildFromSketches(h, set.window, set.sketches[static_cast<size_t>(q)]);
+      if (pool.SatisfiesLemma2(h, 0.7)) {
+        kept.push_back(h);
+      } else {
+        pool.Free(h);
+      }
+    }
+    for (sketch::SignaturePool::Handle h : kept) pool.Free(h);
+    kept.clear();
+  }
+  state.counters["related"] = static_cast<double>(related.size());
+}
+BENCHMARK(BM_IndexProbe)->ArgsProduct({{200, 1000, 10000}, {0, 1}});
 
 void BM_BruteForceRelate(benchmark::State& state) {
   // The no-index equivalent of a probe: build a signature per query.
@@ -162,25 +213,40 @@ BENCHMARK(BM_BruteForceRelate)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_IndexInsert(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
-  const int k = 800;
-  auto fam = MinHashFamily::Create(k).value();
-  Sketcher sk(&fam);
-  Rng rng(9);
-  std::vector<Sketch> sketches;
-  std::vector<index::QueryInfo> infos;
-  for (int q = 0; q < m; ++q) {
-    sketches.push_back(sk.FromSequence(RandomIds(&rng, 80)));
-    infos.push_back(index::QueryInfo{q + 1, 80});
-  }
-  Sketch extra = sk.FromSequence(RandomIds(&rng, 80));
+  const IndexBenchSet& set = IndexSet(m, state.range(1) != 0);
+  auto idx = index::HashQueryIndex::Build(kIndexK, set.queries).value();
   for (auto _ : state) {
+    VCD_CHECK_OK(idx.Insert(m, set.extra));
     state.PauseTiming();
-    auto idx = index::HashQueryIndex::Build(sketches, infos).value();
+    VCD_CHECK_OK(idx.Remove(m, set.extra));
     state.ResumeTiming();
-    benchmark::DoNotOptimize(idx.Insert(extra, index::QueryInfo{m + 1, 80}));
   }
 }
-BENCHMARK(BM_IndexInsert)->Arg(50)->Arg(200);
+BENCHMARK(BM_IndexInsert)->ArgsProduct({{200, 1000, 10000}, {0, 1}});
+
+void BM_IndexRemove(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const IndexBenchSet& set = IndexSet(m, state.range(1) != 0);
+  auto idx = index::HashQueryIndex::Build(kIndexK, set.queries).value();
+  for (auto _ : state) {
+    state.PauseTiming();
+    VCD_CHECK_OK(idx.Insert(m, set.extra));
+    state.ResumeTiming();
+    VCD_CHECK_OK(idx.Remove(m, set.extra));
+  }
+}
+BENCHMARK(BM_IndexRemove)->ArgsProduct({{200, 1000, 10000}, {0, 1}});
+
+void BM_IndexBuild(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const IndexBenchSet& set = IndexSet(m, state.range(1) != 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::HashQueryIndex::Build(kIndexK, set.queries));
+  }
+}
+BENCHMARK(BM_IndexBuild)
+    ->ArgsProduct({{200, 1000, 10000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // --- slab kernels vs per-object signature ops ------------------------------
 // Each BM_Pool* / BM_Obj* pair does the same logical work over a fixed

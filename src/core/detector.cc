@@ -70,15 +70,16 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
     return Status::AlreadyExists("query id " + std::to_string(id));
   }
   QueryRec rec;
-  rec.info.id = id;
-  rec.info.length_frames = length_frames;
+  rec.id = id;
+  rec.length_frames = length_frames;
   rec.duration_seconds = duration_seconds;
   rec.sketch = std::move(sk);
   rec.max_windows = std::max(
       1, static_cast<int>(std::ceil(config_.lambda * duration_seconds /
                                     config_.window_seconds)));
   if (config_.use_index && index_.has_value()) {
-    VCD_RETURN_IF_ERROR(index_->Insert(rec.sketch, rec.info));
+    VCD_RETURN_IF_ERROR(
+        index_->Insert(static_cast<int>(queries_.size()), rec.sketch));
   } else {
     index_dirty_ = true;
   }
@@ -108,6 +109,8 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
     scratch_.or_src.reserve(queries_.size());
     scratch_.or_less.reserve(queries_.size());
     scratch_.merge_related.reserve(queries_.size());
+    scratch_.related.reserve(queries_.size());
+    scratch_.related_seen.reserve((queries_.size() + 63) / 64);
   }
   return Status::OK();
 }
@@ -117,7 +120,7 @@ CopyDetector::ExportQueries() const {
   std::vector<std::tuple<int, int, double, sketch::Sketch>> out;
   for (const QueryRec& q : queries_) {
     if (!q.active) continue;
-    out.emplace_back(q.info.id, q.info.length_frames, q.duration_seconds, q.sketch);
+    out.emplace_back(q.id, q.length_frames, q.duration_seconds, q.sketch);
   }
   return out;
 }
@@ -127,13 +130,15 @@ Status CopyDetector::RemoveQuery(int id) {
   if (it == id_to_ordinal_.end()) {
     return Status::NotFound("query id " + std::to_string(id));
   }
-  QueryRec& q = queries_[static_cast<size_t>(it->second)];
-  q.active = false;
-  query_window_cap_[static_cast<size_t>(it->second)] = 0;
-  id_to_ordinal_.erase(it);
+  const int ordinal = it->second;
+  QueryRec& q = queries_[static_cast<size_t>(ordinal)];
   if (config_.use_index && index_.has_value()) {
-    VCD_RETURN_IF_ERROR(index_->Remove(id));
+    VCD_RETURN_IF_ERROR(index_->Remove(ordinal, q.sketch));
   }
+  q.active = false;
+  q.sketch = sketch::Sketch{};  // every reader checks `active` first
+  query_window_cap_[static_cast<size_t>(ordinal)] = 0;
+  id_to_ordinal_.erase(it);
   global_max_windows_ = 1;
   for (const QueryRec& r : queries_) {
     if (r.active) global_max_windows_ = std::max(global_max_windows_, r.max_windows);
@@ -145,15 +150,11 @@ Status CopyDetector::RebuildIndex() {
   index_.reset();
   index_dirty_ = false;
   if (!config_.use_index) return Status::OK();
-  std::vector<sketch::Sketch> sketches;
-  std::vector<index::QueryInfo> infos;
-  for (const QueryRec& q : queries_) {
-    if (!q.active) continue;
-    sketches.push_back(q.sketch);
-    infos.push_back(q.info);
+  std::vector<index::HashQueryIndex::Query> active;
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    if (queries_[q].active) active.push_back({static_cast<int>(q), &queries_[q].sketch});
   }
-  if (sketches.empty()) return Status::OK();
-  auto idx = index::HashQueryIndex::Build(sketches, infos);
+  auto idx = index::HashQueryIndex::Build(config_.K, active);
   if (!idx.ok()) return idx.status();
   index_.emplace(std::move(idx).value());
   return Status::OK();
@@ -243,7 +244,7 @@ void CopyDetector::EmitMatch(int q, int64_t start_frame, int64_t end_frame,
   if (cooldown > 0 && end_time < rec.suppress_until) return;
   rec.suppress_until = end_time + cooldown;
   Match m;
-  m.query_id = rec.info.id;
+  m.query_id = rec.id;
   m.start_frame = start_frame;
   m.end_frame = end_frame;
   m.start_time = start_time;
@@ -264,20 +265,18 @@ CopyDetector::BitCand CopyDetector::MakeBitCand(const stream::BasicWindow& windo
   c.end_time = window.end_time;
   if (config_.use_index) {
     if (!index_.has_value()) return c;
-    std::vector<index::RelatedQuery> rl;
-    {
-      VCD_OBS_SPAN(metrics_.probe_ns);
-      rl = index_->Probe(wsk, config_.delta, config_.enable_pruning);
+    // R_L, built query-major (DESIGN.md §6): probe-time prunes are not
+    // counted, and bitsig_builds counts the survivors only.
+    VCD_OBS_SPAN(metrics_.probe_ns);
+    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
+    for (int q : scratch_.related) {
+      // NOLINT(vcd-pooled-hotpath): scalar reference path
+      sketch::BitSignature sig = sketch::BitSignature::FromSketches(
+          wsk, queries_[static_cast<size_t>(q)].sketch);
+      if (config_.enable_pruning && !sig.SatisfiesLemma2(config_.delta)) continue;
+      ++stats_.bitsig_builds;
+      c.sigs.push_back(BitCand::Sig{q, std::move(sig)});
     }
-    stats_.bitsig_builds += static_cast<int64_t>(rl.size());
-    c.sigs.reserve(rl.size());
-    for (index::RelatedQuery& rq : rl) {
-      const int q = OrdinalOf(rq.info.id);
-      if (q < 0) continue;
-      c.sigs.push_back(BitCand::Sig{q, std::move(rq.bitsig)});
-    }
-    std::sort(c.sigs.begin(), c.sigs.end(),
-              [](const BitCand::Sig& a, const BitCand::Sig& b) { return a.q < b.q; });
   } else {
     for (size_t q = 0; q < queries_.size(); ++q) {
       if (!queries_[q].active) continue;
@@ -305,17 +304,8 @@ CopyDetector::SketchCand CopyDetector::MakeSketchCand(const stream::BasicWindow&
   c.end_time = window.end_time;
   c.sketch = wsk;
   if (config_.use_index && index_.has_value()) {
-    std::vector<index::QueryInfo> rel;
-    {
-      VCD_OBS_SPAN(metrics_.probe_ns);
-      rel = index_->ProbeRelated(wsk);
-    }
-    c.related.reserve(rel.size());
-    for (const index::QueryInfo& info : rel) {
-      const int q = OrdinalOf(info.id);
-      if (q >= 0) c.related.push_back(q);
-    }
-    std::sort(c.related.begin(), c.related.end());
+    VCD_OBS_SPAN(metrics_.probe_ns);
+    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &c.related);
   }
   return c;
 }
@@ -422,22 +412,19 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   sketch::SignaturePool& pool = *sig_pool_;
   if (config_.use_index) {
     if (!index_.has_value()) return;
-    {
-      VCD_OBS_SPAN(metrics_.probe_ns);
-      index_->ProbeInto(wsk, config_.delta, config_.enable_pruning, &pool,
-                        &scratch_.probe, &scratch_.pooled_related);
-    }
-    stats_.bitsig_builds += static_cast<int64_t>(scratch_.pooled_related.size());
-    for (const index::PooledRelatedQuery& rq : scratch_.pooled_related) {
-      const int q = OrdinalOf(rq.info.id);
-      if (q < 0) {
-        pool.Free(rq.sig);
+    // Mirror of MakeBitCand: R_L built query-major, survivors counted.
+    VCD_OBS_SPAN(metrics_.probe_ns);
+    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
+    for (int q : scratch_.related) {
+      const sketch::SignaturePool::Handle h = pool.Allocate();
+      pool.BuildFromSketches(h, wsk, queries_[static_cast<size_t>(q)].sketch);
+      if (config_.enable_pruning && !pool.SatisfiesLemma2(h, config_.delta)) {
+        pool.Free(h);
         continue;
       }
-      c->sigs.push_back(PooledSigRef{q, rq.sig});
+      ++stats_.bitsig_builds;
+      c->sigs.push_back(PooledSigRef{q, h});
     }
-    std::sort(c->sigs.begin(), c->sigs.end(),
-              [](const PooledSigRef& a, const PooledSigRef& b) { return a.q < b.q; });
   } else {
     for (size_t q = 0; q < queries_.size(); ++q) {
       if (!queries_[q].active) continue;
@@ -466,15 +453,8 @@ void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
   c->sketch = sketch_pool_->Allocate();  // shell arrives retired (kInvalid)
   sketch_pool_->Assign(c->sketch, wsk);
   if (config_.use_index && index_.has_value()) {
-    {
-      VCD_OBS_SPAN(metrics_.probe_ns);
-      index_->ProbeRelatedInto(wsk, &scratch_.probe, &scratch_.related_infos);
-    }
-    for (const index::QueryInfo& info : scratch_.related_infos) {
-      const int q = OrdinalOf(info.id);
-      if (q >= 0) c->related.push_back(q);
-    }
-    std::sort(c->related.begin(), c->related.end());
+    VCD_OBS_SPAN(metrics_.probe_ns);
+    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &c->related);
   }
 }
 
@@ -1020,11 +1000,18 @@ Status CopyDetector::ValidateState() const {
   if (query_window_cap_.size() != queries_.size()) {
     return Status::Internal("query_window_cap_ size out of sync with queries_");
   }
+  size_t active = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const int expect = queries_[q].active ? queries_[q].max_windows : 0;
     if (query_window_cap_[q] != expect) {
       return Status::Internal("query_window_cap_[" + std::to_string(q) +
                               "] out of sync with its QueryRec");
+    }
+    if (queries_[q].active) {
+      ++active;
+    } else if (queries_[q].sketch.mins.capacity() != 0) {
+      return Status::Internal("removed query ordinal " + std::to_string(q) +
+                              " still holds its sketch");
     }
   }
   const auto check_span = [&](int num_windows) -> Status {
@@ -1157,7 +1144,30 @@ Status CopyDetector::ValidateState() const {
           " handles held by candidates");
     }
   }
-  if (index_.has_value()) VCD_RETURN_IF_ERROR(index_->Validate());
+  if (index_.has_value()) {
+    // Validate() proves every row holds the same ordinals, once each; that
+    // set must be exactly the active ordinals, each at its sketch's values.
+    VCD_RETURN_IF_ERROR(index_->Validate());
+    if (static_cast<size_t>(index_->num_queries()) != active) {
+      return Status::Internal("index holds " + std::to_string(index_->num_queries()) +
+                              " queries, " + std::to_string(active) + " are active");
+    }
+    for (int r = 0; r < index_->K(); ++r) {
+      const std::vector<uint64_t>& values = index_->values(r);
+      const std::vector<int32_t>& ordinals = index_->ordinals(r);
+      for (size_t j = 0; j < values.size(); ++j) {
+        const auto q = static_cast<size_t>(ordinals[j]);
+        if (q >= queries_.size() || !queries_[q].active) {
+          return Status::Internal("index row " + std::to_string(r) +
+                                  " holds removed query ordinal " + std::to_string(q));
+        }
+        if (values[j] != queries_[q].sketch.mins[static_cast<size_t>(r)]) {
+          return Status::Internal("index row " + std::to_string(r) + " holds ordinal " +
+                                  std::to_string(q) + " at a value its sketch lacks");
+        }
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -1170,7 +1180,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
   st.assembler = assembler_->ExportCkpt();
   for (const QueryRec& q : queries_) {
     if (!q.active) continue;
-    st.queries.push_back(DetectorCkptState::QueryState{q.info.id, q.suppress_until});
+    st.queries.push_back(DetectorCkptState::QueryState{q.id, q.suppress_until});
   }
   st.stats = stats_;
   st.matches = matches_;
@@ -1193,7 +1203,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     for (const BitCand::Sig& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
-          queries_[static_cast<size_t>(s.q)].info.id, words_of(s.sig)});
+          queries_[static_cast<size_t>(s.q)].id, words_of(s.sig)});
     }
     st.candidates.push_back(std::move(out));
   };
@@ -1201,7 +1211,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     for (const PooledSigRef& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
-          queries_[static_cast<size_t>(s.q)].info.id,
+          queries_[static_cast<size_t>(s.q)].id,
           words_of(sig_pool_->ToBitSignature(s.sig))});
     }
     st.candidates.push_back(std::move(out));
@@ -1210,7 +1220,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     out.mins = c.sketch.mins;
     for (int q : c.related) {
-      out.related_ids.push_back(queries_[static_cast<size_t>(q)].info.id);
+      out.related_ids.push_back(queries_[static_cast<size_t>(q)].id);
     }
     st.candidates.push_back(std::move(out));
   };
@@ -1218,7 +1228,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     out.mins = sketch_pool_->ToSketch(c.sketch).mins;
     for (int q : c.related) {
-      out.related_ids.push_back(queries_[static_cast<size_t>(q)].info.id);
+      out.related_ids.push_back(queries_[static_cast<size_t>(q)].id);
     }
     st.candidates.push_back(std::move(out));
   };

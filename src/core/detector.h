@@ -136,8 +136,9 @@ class CopyDetector {
   /// pair it with config().K and config().hash_seed).
   std::vector<std::tuple<int, int, double, sketch::Sketch>> ExportQueries() const;
 
-  /// Unsubscribes a query. Candidates keep already-built state for it but
-  /// stop matching it.
+  /// Unsubscribes a query and frees its sketch. Candidates keep
+  /// already-built state for it but stop matching it; its ordinal stays
+  /// reserved.
   Status RemoveQuery(int id);
 
   /// Number of subscribed queries.
@@ -192,10 +193,19 @@ class CopyDetector {
   /// expired candidates must not survive a Step), signature lists strictly
   /// sorted by query ordinal with in-range ordinals, related-query lists
   /// strictly sorted, and every bit signature well-formed with K matching
-  /// the config (BitSignature::Validate). Returns the first violation.
-  /// Called from tests and, when config().validate_state is set, after
-  /// every processed window.
+  /// the config (BitSignature::Validate). It also checks the query table:
+  /// removed queries hold no sketch, and the Hash-Query index holds each
+  /// active ordinal exactly once per row r, at value `sketch.mins[r]`, and
+  /// no removed ordinal. Returns the first violation. Called from tests
+  /// and, when config().validate_state is set, after every processed window.
   Status ValidateState() const;
+
+  /// The Hash-Query index, or null before it is first built — exists only
+  /// so tests can corrupt it and assert that ValidateState() reports it.
+  /// Library code must not call this.
+  index::HashQueryIndex* mutable_index_for_test() {
+    return index_.has_value() ? &*index_ : nullptr;
+  }
 
   /// \brief Materializes the full mid-stream state for a checkpoint.
   ///
@@ -221,8 +231,10 @@ class CopyDetector {
  private:
   /// One subscribed query.
   struct QueryRec {
-    index::QueryInfo info;    ///< id and length in key frames
+    int id = 0;               ///< subscriber-assigned query id
+    int length_frames = 0;    ///< query length L in key frames
     double duration_seconds = 0.0;
+    /// Freed by RemoveQuery: only active records hold their K values.
     sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): per-query, cold
     int max_windows = 0;      ///< ⌈λL/w⌉
     double suppress_until = -1.0;  ///< stream time before which reports are muted
@@ -283,9 +295,8 @@ class CopyDetector {
     stream::BasicWindow window;        ///< assembler swap buffer
     // NOLINT(vcd-pooled-hotpath): single reused buffer, not per-candidate
     sketch::Sketch window_sketch;      ///< FromSequenceInto target
-    index::ProbeScratch probe;         ///< index probe working set
-    std::vector<index::PooledRelatedQuery> pooled_related;
-    std::vector<index::QueryInfo> related_infos;
+    std::vector<uint64_t> related_seen;  ///< index probe dedup bitmap
+    std::vector<int> related;            ///< index probe output: R_L ordinals
     std::vector<PooledSigRef> merge_sigs;    ///< MergePooledBit union buffer
     std::vector<sketch::SignaturePool::Handle> or_dst, or_src;
     std::vector<sketch::SignaturePool::Handle> handle_buf;

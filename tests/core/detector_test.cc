@@ -120,6 +120,42 @@ TEST(CopyDetectorTest, RemoveQuery) {
   EXPECT_TRUE(det->AddQueryCells(1, {4, 5, 6}, 10.0).ok());
 }
 
+TEST(CopyDetectorTest, ValidateStateCrossChecksIndex) {
+  // Ordinals: id 1 → 0, id 2 → 1 (removed), id 3 → 2. Each corruption
+  // below leaves the index structurally valid, so only the cross-check
+  // against the query table can catch it.
+  auto det = CopyDetector::Create(SmallConfig()).value();
+  World w;
+  for (int id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(det->AddQueryCells(id, w.RandomContent(30, 0, 100), 12.0).ok());
+  }
+  ASSERT_TRUE(World::Feed(det.get(), w.RandomContent(20, 0, 100), 0).ok());
+  ASSERT_TRUE(det->RemoveQuery(2).ok());
+  ASSERT_TRUE(det->ValidateState().ok());
+  index::HashQueryIndex* idx = det->mutable_index_for_test();
+  ASSERT_NE(idx, nullptr);
+  const auto queries = det->ExportQueries();  // ids 1 and 3
+  const sketch::Sketch& sk1 = std::get<3>(queries[0]);
+  const sketch::Sketch& sk3 = std::get<3>(queries[1]);
+
+  // An active ordinal missing from the index.
+  ASSERT_TRUE(idx->Remove(0, sk1).ok());
+  ASSERT_TRUE(idx->Validate().ok());
+  EXPECT_FALSE(det->ValidateState().ok());
+  // The ordinal back, but at another query's values.
+  ASSERT_TRUE(idx->Insert(0, sk3).ok());
+  ASSERT_TRUE(idx->Validate().ok());
+  EXPECT_FALSE(det->ValidateState().ok());
+  ASSERT_TRUE(idx->Remove(0, sk3).ok());
+  ASSERT_TRUE(idx->Insert(0, sk1).ok());
+  ASSERT_TRUE(det->ValidateState().ok());
+  // The removed ordinal indexed in place of an active one.
+  ASSERT_TRUE(idx->Remove(2, sk3).ok());
+  ASSERT_TRUE(idx->Insert(1, sk3).ok());
+  ASSERT_TRUE(idx->Validate().ok());
+  EXPECT_FALSE(det->ValidateState().ok());
+}
+
 /// All four method variants × both orders must detect a verbatim copy.
 class DetectorVariantTest
     : public ::testing::TestWithParam<std::tuple<Representation, bool, CombinationOrder>> {};

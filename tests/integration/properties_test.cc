@@ -185,7 +185,8 @@ TEST(PropertyTest, WindowOrderInvariance) {
 }
 
 /// Property: the index probe plus per-query signatures is consistent with
-/// computing everything by brute force, across many random worlds.
+/// computing everything by brute force, across many random worlds, and
+/// stays so through random removes and re-inserts.
 TEST(PropertyTest, IndexProbeEquivalenceSweep) {
   Rng rng(127);
   for (int world = 0; world < 5; ++world) {
@@ -194,28 +195,41 @@ TEST(PropertyTest, IndexProbeEquivalenceSweep) {
     auto fam = MinHashFamily::Create(k, rng.Next()).value();
     Sketcher sk(&fam);
     std::vector<Sketch> sketches;
-    std::vector<index::QueryInfo> infos;
+    std::vector<index::HashQueryIndex::Query> queries;
     for (int q = 0; q < m; ++q) {
       sketches.push_back(sk.FromSequence(RandomIds(&rng, 20, 400)));
-      infos.push_back(index::QueryInfo{q + 1, 50});
     }
-    auto idx = index::HashQueryIndex::Build(sketches, infos).value();
-    ASSERT_TRUE(idx.Validate().ok());
-    Sketch w = sk.FromSequence(RandomIds(&rng, 15, 400));
-    auto rl = idx.Probe(w, 0.7, false);
-    std::set<int> got;
-    for (const auto& rq : rl) {
-      got.insert(rq.info.id);
-      EXPECT_TRUE(rq.bitsig ==
-                  BitSignature::FromSketches(w, sketches[static_cast<size_t>(rq.info.id - 1)]));
-    }
-    std::set<int> expect;
-    for (int q = 0; q < m; ++q) {
-      if (Sketcher::NumEqual(w, sketches[static_cast<size_t>(q)]) > 0) {
-        expect.insert(q + 1);
+    for (int q = 0; q < m; ++q) queries.push_back({q, &sketches[static_cast<size_t>(q)]});
+    auto idx = index::HashQueryIndex::Build(k, queries).value();
+    std::vector<bool> live(static_cast<size_t>(m), true);
+    std::vector<uint64_t> seen;
+    std::vector<int> related;
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_TRUE(idx.Validate().ok());
+      Sketch w = sk.FromSequence(RandomIds(&rng, 15, 400));
+      idx.ProbeRelatedInto(w, &seen, &related);
+      std::vector<int> expect;
+      for (int q = 0; q < m; ++q) {
+        if (live[static_cast<size_t>(q)] &&
+            Sketcher::NumEqual(w, sketches[static_cast<size_t>(q)]) > 0) {
+          expect.push_back(q);
+        }
       }
+      EXPECT_EQ(related, expect) << "world " << world << " k=" << k << " m=" << m;
+      for (int q : related) {
+        // R_L built query-major: the signature comes from the query sketch.
+        const BitSignature sig =
+            BitSignature::FromSketches(w, sketches[static_cast<size_t>(q)]);
+        EXPECT_GT(sig.NumEqual(), 0);
+        EXPECT_TRUE(sig.Validate().ok());
+      }
+      // Toggle one query's subscription.
+      const int q = static_cast<int>(rng.Uniform(static_cast<uint64_t>(m)));
+      const Sketch& qs = sketches[static_cast<size_t>(q)];
+      std::vector<bool>::reference on = live[static_cast<size_t>(q)];
+      ASSERT_TRUE((on ? idx.Remove(q, qs) : idx.Insert(q, qs)).ok());
+      on = !on;
     }
-    EXPECT_EQ(got, expect) << "world " << world << " k=" << k << " m=" << m;
   }
 }
 
