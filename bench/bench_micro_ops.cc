@@ -2,7 +2,8 @@
 /// Micro-benchmarks of the primitive costs the paper's Eq. 4 is built from:
 /// C_comp and C_comb for the raw-sketch and bit-signature representations,
 /// min-hash sketching of a basic window, and the Hash-Query index probe.
-/// Also benches the Lemma-2 pruning ablation at the detector level.
+/// Also benches the Lemma-2 pruning ablation at the detector level, and the
+/// front end's partial decode (§III-A) with its Exp-Golomb reader.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,11 @@
 #include "sketch/signature_pool.h"
 #include "util/mutex.h"
 #include "util/rng.h"
+#include "video/bitstream.h"
+#include "video/codec.h"
+#include "video/partial_decoder.h"
+#include "video/scene_model.h"
+#include "video/synthetic.h"
 
 namespace {
 
@@ -416,6 +422,88 @@ void BM_DetectorPruning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorPruning)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// --- partial decode ---------------------------------------------------------
+
+/// One 352×240 intra frame of a seeded scene with sensor noise, so the luma
+/// blocks carry AC texture the DC-only skim has to walk.
+std::vector<uint8_t> EncodeKeyFrame() {
+  video::SceneModel model = video::SceneModel::Generate(11, 10.0);
+  video::RenderOptions ro;
+  ro.noise_sigma = 1.5;
+  auto clip = video::RenderVideo(model, 2.0, 1.0 / ro.fps, ro);
+  VCD_CHECK_OK(clip.status());
+  video::CodecParams p;
+  p.width = ro.width;
+  p.height = ro.height;
+  p.fps = ro.fps;
+  auto bytes = video::Encoder::EncodeVideo(*clip, p);
+  VCD_CHECK_OK(bytes.status());
+  return std::move(bytes).value();
+}
+
+/// Exp-Golomb codes in the luma plane of the one-frame stream \p bytes:
+/// per block the DC diff, each (run, level) pair and the end-of-block run.
+int64_t LumaCodes(const std::vector<uint8_t>& bytes, int blocks) {
+  const size_t payload = video::StreamHeaderSize() + 5;
+  video::BitReader r(bytes.data() + payload, bytes.size() - payload);
+  int64_t codes = 0;
+  for (int b = 0; b < blocks; ++b) {
+    int32_t level = 0;
+    uint32_t run = 0;
+    VCD_CHECK_OK(r.ReadSE(&level));
+    for (codes += 2;; codes += 2) {
+      VCD_CHECK_OK(r.ReadUE(&run));
+      if (run == 63) break;
+      VCD_CHECK_OK(r.ReadSE(&level));
+    }
+  }
+  return codes;
+}
+
+void BM_PartialDecodeKeyFrame(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = EncodeKeyFrame();
+  video::PartialDecoder pd;
+  video::DcFrame frame;
+  for (auto _ : state) {
+    VCD_CHECK_OK(pd.Open(bytes.data(), bytes.size()));
+    VCD_CHECK_OK(pd.NextKeyFrame(&frame));
+    benchmark::DoNotOptimize(frame.dc.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["codes_per_frame"] =
+      static_cast<double>(LumaCodes(bytes, frame.blocks_x * frame.blocks_y));
+}
+BENCHMARK(BM_PartialDecodeKeyFrame)->Unit(benchmark::kMicrosecond);
+
+/// Reads 4096 unsigned Exp-Golomb codes whose prefix lengths are uniform in
+/// [0, arg] zeros: arg 4 is the short codes of quantized AC data, arg 31
+/// every legal length (up to 63-bit codes).
+void BM_ExpGolombUE(benchmark::State& state) {
+  const int max_zeros = static_cast<int>(state.range(0));
+  constexpr int kCodes = 4096;
+  Rng rng(12);
+  video::BitWriter w;
+  for (int i = 0; i < kCodes; ++i) {
+    const int zeros = static_cast<int>(rng.Uniform(static_cast<uint64_t>(max_zeros) + 1));
+    const uint64_t rest = rng.Next() & ((uint64_t{1} << zeros) - 1);
+    w.WriteUE(static_cast<uint32_t>((uint64_t{1} << zeros) + rest - 1));
+  }
+  const std::vector<uint8_t> bytes = w.Finish();
+  for (auto _ : state) {
+    video::BitReader r(bytes.data(), bytes.size());
+    uint32_t sum = 0;
+    for (int i = 0; i < kCodes; ++i) {
+      uint32_t v = 0;
+      VCD_CHECK_OK(r.ReadUE(&v));
+      sum += v;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kCodes);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_ExpGolombUE)->Arg(4)->Arg(31);
 
 // Uncontended lock/unlock: raw std::mutex baseline vs the annotated, ranked
 // vcd::Mutex. In release builds VCD_DEADLOCK_CHECK compiles the held-stack

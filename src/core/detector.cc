@@ -84,6 +84,7 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
     index_dirty_ = true;
   }
   global_max_windows_ = std::max(global_max_windows_, rec.max_windows);
+  span_bound_ = std::max(span_bound_, global_max_windows_);
   queries_.push_back(std::move(rec));
   query_window_cap_.push_back(queries_.back().max_windows);
   id_to_ordinal_[id] = static_cast<int>(queries_.size()) - 1;
@@ -139,6 +140,8 @@ Status CopyDetector::RemoveQuery(int id) {
   q.sketch = sketch::Sketch{};  // every reader checks `active` first
   query_window_cap_[static_cast<size_t>(ordinal)] = 0;
   id_to_ordinal_.erase(it);
+  // span_bound_ stays: live candidates may have been built under the old
+  // bound (RecordWindowStats lowers it once they are gone).
   global_max_windows_ = 1;
   for (const QueryRec& r : queries_) {
     if (r.active) global_max_windows_ = std::max(global_max_windows_, r.max_windows);
@@ -222,6 +225,7 @@ void CopyDetector::ResetStream() {
   pseq_sketch_.Clear(retire_sketch);
   pgeo_bit_.Clear(retire_bit);
   pgeo_sketch_.Clear(retire_sketch);
+  span_bound_ = global_max_windows_;
   matches_.clear();
   stats_ = DetectorStats{};
   // Registry counters are cumulative across stream resets (a monitoring
@@ -897,17 +901,20 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
 void CopyDetector::RecordWindowStats() {
   int64_t sig_count = 0;
   int64_t cand_count = 0;
+  int longest = 0;
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
   const bool pooled = config_.use_pooled_kernels;
   const auto count_bit = [&](const auto& c) {
     sig_count += static_cast<int64_t>(c.sigs.size());
     ++cand_count;
+    longest = std::max(longest, c.num_windows);
   };
   const auto count_sketch = [&](const auto& c) {
     sig_count += config_.use_index ? static_cast<int64_t>(c.related.size())
                                    : static_cast<int64_t>(queries_.size());
     ++cand_count;
+    longest = std::max(longest, c.num_windows);
   };
   if (bit && seq) {
     if (pooled) {
@@ -937,6 +944,7 @@ void CopyDetector::RecordWindowStats() {
   stats_.signatures_per_window.Add(static_cast<double>(sig_count));
   stats_.candidates_per_window.Add(static_cast<double>(cand_count));
   last_cand_count_ = cand_count;
+  if (longest <= global_max_windows_) span_bound_ = global_max_windows_;
   int64_t slots = 0;
   if (pooled) {
     slots = bit ? static_cast<int64_t>(sig_pool_->live_count())
@@ -1015,9 +1023,9 @@ Status CopyDetector::ValidateState() const {
     }
   }
   const auto check_span = [&](int num_windows) -> Status {
-    if (num_windows < 1 || num_windows > global_max_windows_) {
+    if (num_windows < 1 || num_windows > span_bound_) {
       return Status::Internal("candidate num_windows " + std::to_string(num_windows) +
-                              " outside [1, " + std::to_string(global_max_windows_) +
+                              " outside [1, " + std::to_string(span_bound_) +
                               "] (λL expiry bound)");
     }
     return Status::OK();
@@ -1296,7 +1304,12 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   const size_t sig_words = (2 * static_cast<size_t>(config_.K) + 63) / 64;
   int32_t prev_level = -1;
   int64_t restored = 0;
+  // The snapshot does not record the bound its candidates were built under;
+  // a candidate longer than today's bound outlived a RemoveQuery (see
+  // span_bound_), so the restored bound covers it.
+  span_bound_ = global_max_windows_;
   for (const CkptCandidate& c : st.candidates) {
+    span_bound_ = std::max(span_bound_, c.num_windows);
     if (seq != (c.ladder_level < 0)) {
       return Status::Corruption(
           "snapshot candidate order does not match the configured "

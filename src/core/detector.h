@@ -189,8 +189,10 @@ class CopyDetector {
   /// \brief Debug validator over all live candidate state.
   ///
   /// Checks, for every candidate in whichever combination structure is
-  /// active: `1 ≤ num_windows ≤ ⌈λ·L_max/w⌉` (the global expiry bound —
-  /// expired candidates must not survive a Step), signature lists strictly
+  /// active: `1 ≤ num_windows ≤ ⌈λ·L_max/w⌉`, the expiry bound the live
+  /// candidates were built under (expired candidates must not survive a
+  /// Step; see span_bound_ for blocks that outlive a RemoveQuery which
+  /// lowered the bound), signature lists strictly
   /// sorted by query ordinal with in-range ordinals, related-query lists
   /// strictly sorted, and every bit signature well-formed with K matching
   /// the config (BitSignature::Validate). It also checks the query table:
@@ -446,6 +448,15 @@ class CopyDetector {
   std::optional<index::HashQueryIndex> index_;
   bool index_dirty_ = false;
   int global_max_windows_ = 1;
+  /// The λL bound ValidateState checks candidate spans against: the largest
+  /// global_max_windows_ any live candidate was built under. It exceeds
+  /// global_max_windows_ only after a RemoveQuery lowered the bound. Then
+  /// Sequential order holds longer candidates until its next Step expires
+  /// them. Geometric order keeps longer ladder blocks, which it never tests
+  /// again; one leaves the ladder when a carry reaches its level (the merged
+  /// carry is too long and is retired) or the stream resets. Once no live
+  /// candidate is longer than global_max_windows_, it drops back.
+  int span_bound_ = 1;
   /// Clock-skew guard: the highest timestamp seen on the stream. Frames
   /// arriving behind it are demoted to degraded (their fingerprint would
   /// land in the wrong basic window).

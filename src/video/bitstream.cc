@@ -38,46 +38,16 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(bytes_);
 }
 
-Status BitReader::ReadBits(int nbits, uint32_t* value) {
-  if (bit_pos_ + static_cast<size_t>(nbits) > size_ * 8) {
-    return Status::Corruption("bit stream exhausted");
+Status BitReader::ToStatus(Error error) {
+  switch (error) {
+    case Error::kOk:
+      return Status::OK();
+    case Error::kExhausted:
+      return Status::Corruption("bit stream exhausted");
+    case Error::kPrefixTooLong:
+      return Status::Corruption("Exp-Golomb prefix too long");
   }
-  uint32_t v = 0;
-  for (int i = 0; i < nbits; ++i) {
-    size_t byte = bit_pos_ >> 3;
-    int off = static_cast<int>(bit_pos_ & 7);
-    v = (v << 1) | ((data_[byte] >> (7 - off)) & 1);
-    ++bit_pos_;
-  }
-  *value = v;
-  return Status::OK();
-}
-
-Status BitReader::ReadUE(uint32_t* value) {
-  int zeros = 0;
-  uint32_t bit = 0;
-  for (;;) {
-    VCD_RETURN_IF_ERROR(ReadBits(1, &bit));
-    if (bit == 1) break;
-    if (++zeros > 31) return Status::Corruption("Exp-Golomb prefix too long");
-  }
-  uint32_t rest = 0;
-  if (zeros > 0) {
-    VCD_RETURN_IF_ERROR(ReadBits(zeros, &rest));
-  }
-  *value = ((uint32_t{1} << zeros) | rest) - 1;
-  return Status::OK();
-}
-
-Status BitReader::ReadSE(int32_t* value) {
-  uint32_t mapped = 0;
-  VCD_RETURN_IF_ERROR(ReadUE(&mapped));
-  if (mapped % 2 == 0) {
-    *value = -static_cast<int32_t>(mapped / 2);
-  } else {
-    *value = static_cast<int32_t>((mapped + 1) / 2);
-  }
-  return Status::OK();
+  return Status::Internal("unknown bit reader error");
 }
 
 void BitReader::AlignToByte() { bit_pos_ = (bit_pos_ + 7) & ~size_t{7}; }

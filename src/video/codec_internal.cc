@@ -20,11 +20,6 @@ const int kChromaQuant[64] = {
     99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99,
     99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99};
 
-namespace {
-/// End-of-block sentinel; legal zero-runs within a block are at most 62.
-constexpr uint32_t kEob = 63;
-}  // namespace
-
 void WriteBlock(const std::array<int32_t, 64>& qcoef, int32_t* prev_dc, BitWriter* bw) {
   bw->WriteSE(qcoef[0] - *prev_dc);
   *prev_dc = qcoef[0];
@@ -42,46 +37,24 @@ void WriteBlock(const std::array<int32_t, 64>& qcoef, int32_t* prev_dc, BitWrite
   bw->WriteUE(kEob);
 }
 
-Status ReadBlock(BitReader* br, int32_t* prev_dc, std::array<int32_t, 64>* qcoef) {
-  qcoef->fill(0);
-  int32_t diff = 0;
-  VCD_RETURN_IF_ERROR(br->ReadSE(&diff));
-  *prev_dc += diff;
-  (*qcoef)[0] = *prev_dc;
-  int k = 1;
-  for (;;) {
-    uint32_t run = 0;
-    VCD_RETURN_IF_ERROR(br->ReadUE(&run));
-    if (run == kEob) break;
-    k += static_cast<int>(run);
-    if (k > 63) return Status::Corruption("AC run overruns block");
-    int32_t level = 0;
-    VCD_RETURN_IF_ERROR(br->ReadSE(&level));
-    if (level == 0) return Status::Corruption("zero AC level is not a legal code");
-    (*qcoef)[kZigZag[k]] = level;
-    ++k;
+Status BlockStatus(BlockError error) {
+  switch (error) {
+    case BlockError::kNone:
+      return Status::OK();
+    case BlockError::kExhausted:
+    case BlockError::kPrefixTooLong:
+      return BitReader::ToStatus(static_cast<BitReader::Error>(error));
+    case BlockError::kRunOverrun:
+      return Status::Corruption("AC run overruns block");
+    case BlockError::kZeroLevel:
+      return Status::Corruption("zero AC level is not a legal code");
   }
-  return Status::OK();
+  return Status::Internal("unknown block error");
 }
 
-Status ReadBlockDcOnly(BitReader* br, int32_t* prev_dc, int32_t* dc) {
-  int32_t diff = 0;
-  VCD_RETURN_IF_ERROR(br->ReadSE(&diff));
-  *prev_dc += diff;
-  *dc = *prev_dc;
-  int k = 1;
-  for (;;) {
-    uint32_t run = 0;
-    VCD_RETURN_IF_ERROR(br->ReadUE(&run));
-    if (run == kEob) break;
-    k += static_cast<int>(run);
-    if (k > 63) return Status::Corruption("AC run overruns block");
-    int32_t level = 0;
-    VCD_RETURN_IF_ERROR(br->ReadSE(&level));
-    if (level == 0) return Status::Corruption("zero AC level is not a legal code");
-    ++k;
-  }
-  return Status::OK();
+Status ReadBlock(BitReader* br, int32_t* prev_dc, std::array<int32_t, 64>* qcoef) {
+  qcoef->fill(0);
+  return BlockStatus(DecodeBlock<true>(*br, prev_dc, qcoef->data()));
 }
 
 }  // namespace vcd::video::internal

@@ -6,6 +6,8 @@
 
 namespace vcd::video {
 
+using internal::BlockError;
+using internal::BlockStatus;
 using internal::kDcQuantStep;
 using internal::PadTo8;
 using internal::ReadBlockDcOnly;
@@ -105,13 +107,16 @@ Status PartialDecoder::NextKeyFrame(DcFrame* out) {
     int32_t prev_dc = 0;
     Status entropy;
     for (size_t b = 0; b < out->dc.size(); ++b) {
-      int32_t qdc = 0;
       if (faultfx::ShouldFire(faultfx::Site::kDecodeError)) {
         entropy = Status::Corruption("injected decode error");
-      } else {
-        entropy = ReadBlockDcOnly(&br, &prev_dc, &qdc);
+        break;
       }
-      if (!entropy.ok()) break;
+      int32_t qdc = 0;
+      if (const BlockError e = ReadBlockDcOnly(br, &prev_dc, &qdc);
+          e != BlockError::kNone) [[unlikely]] {
+        entropy = BlockStatus(e);
+        break;
+      }
       out->dc[b] = static_cast<float>(qdc) * kDcQuantStep;
     }
     if (!entropy.ok()) {

@@ -304,6 +304,68 @@ TEST(CopyDetectorTest, ValidateStateHoldsAcrossConfigurations) {
   }
 }
 
+TEST(CopyDetectorTest, RemovingLongestQueryMidStreamKeepsStateValid) {
+  // Query 1 allows ⌈2·64/4⌉ = 32 windows, query 2 six. After 16 windows
+  // Geometric order holds one 16-window ladder block (Sequential order
+  // candidates of up to 16 windows); removing query 1 lowers the λL bound
+  // to 6 below them. The ladder never tests that block again, so the
+  // per-window ValidateState sweep must accept it, and so must a restore
+  // of a snapshot taken right after the removal.
+  for (auto order : {CombinationOrder::kGeometric, CombinationOrder::kSequential}) {
+    for (auto rep : {Representation::kBit, Representation::kSketch}) {
+      for (bool pooled : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << CombinationOrderName(order) << " " << RepresentationName(rep)
+                     << " pooled=" << pooled);
+        DetectorConfig c = SmallConfig();
+        c.order = order;
+        c.representation = rep;
+        c.use_pooled_kernels = pooled;
+        c.validate_state = true;
+        World w;
+        const std::vector<CellId> long_q = w.RandomContent(40, 0, 1000);
+        const std::vector<CellId> short_q = w.RandomContent(20, 0, 1000);
+        const std::vector<CellId> before = w.RandomContent(170, 0, 1000);
+        // Query 2 plays at windows 24-25, a ladder block of its own.
+        std::vector<CellId> after = w.RandomContent(70, 0, 1000);
+        after.insert(after.end(), short_q.begin(), short_q.end());
+        const std::vector<CellId> tail = w.RandomContent(60, 0, 1000);
+        after.insert(after.end(), tail.begin(), tail.end());
+
+        auto det = CopyDetector::Create(c).value();
+        ASSERT_TRUE(det->AddQueryCells(1, long_q, 64.0).ok());
+        ASSERT_TRUE(det->AddQueryCells(2, short_q, 12.0).ok());
+        ASSERT_TRUE(World::Feed(det.get(), before, 0).ok());
+        ASSERT_EQ(det->stats().windows, 16);
+        ASSERT_TRUE(det->RemoveQuery(1).ok());
+        EXPECT_TRUE(det->ValidateState().ok()) << det->ValidateState().ToString();
+        const DetectorCkptState snapshot = det->ExportCkptState();
+
+        auto restored = CopyDetector::Create(c).value();
+        ASSERT_TRUE(restored->AddQueryCells(2, short_q, 12.0).ok());
+        const Status st = restored->RestoreCkptState(snapshot);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+
+        const auto at = static_cast<int64_t>(before.size());
+        ASSERT_TRUE(World::Feed(det.get(), after, at).ok());
+        ASSERT_TRUE(World::Feed(restored.get(), after, at).ok());
+        ASSERT_TRUE(det->Finish().ok());
+        ASSERT_TRUE(restored->Finish().ok());
+        EXPECT_TRUE(det->ValidateState().ok());
+        EXPECT_TRUE(restored->ValidateState().ok());
+        EXPECT_FALSE(det->matches().empty());
+        ASSERT_EQ(det->matches().size(), restored->matches().size());
+        for (size_t i = 0; i < det->matches().size(); ++i) {
+          EXPECT_EQ(det->matches()[i].query_id, restored->matches()[i].query_id);
+          EXPECT_EQ(det->matches()[i].end_frame, restored->matches()[i].end_frame);
+          EXPECT_EQ(det->matches()[i].similarity, restored->matches()[i].similarity);
+        }
+        EXPECT_EQ(det->stats().windows, restored->stats().windows);
+      }
+    }
+  }
+}
+
 TEST(CopyDetectorTest, StatsCountKeyFramesAndWindows) {
   auto det = CopyDetector::Create(SmallConfig()).value();
   ASSERT_TRUE(det->AddQueryCells(1, {1, 2, 3}, 10.0).ok());

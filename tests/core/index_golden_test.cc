@@ -7,7 +7,8 @@
 /// × pruning on/off), with one RemoveQuery + AddQuerySketch every 40 key
 /// frames that cycles removed ids back in. Every Match field (doubles at
 /// %.17g) and every DetectorStats counter is compared line by line with
-/// tests/data/index_golden.txt.
+/// tests/data/index_golden.txt. Every run has `validate_state` on, so
+/// ValidateState also sweeps each window through the churn.
 ///
 /// On a mismatch the test writes its full output next to the gtest temp
 /// dir and names the file; after an intended output change, review that
@@ -155,6 +156,7 @@ std::string RenderAll() {
             c.order = order;
             c.use_pooled_kernels = pooled;
             c.enable_pruning = pruning;
+            c.validate_state = true;
             out += Format("config regime=%s rep=%s order=%s pooled=%d pruning=%d\n",
                           distinct ? "distinct" : "shared", RepresentationName(rep),
                           CombinationOrderName(order), pooled ? 1 : 0,

@@ -4,8 +4,10 @@
 
 #include "util/logging.h"
 
+#include <array>
 #include <cmath>
 
+#include "video/codec_internal.h"
 #include "video/scene_model.h"
 #include "video/synthetic.h"
 
@@ -306,6 +308,79 @@ TEST(CodecTest, ZeroMotionRangeRoundTrips) {
   ASSERT_TRUE(dec.ok());
   ASSERT_EQ(dec->frames.size(), clip.frames.size());
   EXPECT_GT(Psnr(clip.frames.back(), dec->frames.back()), 30.0);
+}
+
+/// Decodes the block in \p bytes both ways; returns the two statuses.
+std::pair<Status, Status> DecodeBothWays(const std::vector<uint8_t>& bytes,
+                                         int32_t* dc, std::array<int32_t, 64>* coef) {
+  int32_t prev_dc = 0;
+  BitReader skim(bytes.data(), bytes.size());
+  const Status a = internal::BlockStatus(internal::ReadBlockDcOnly(skim, &prev_dc, dc));
+  prev_dc = 0;
+  BitReader full(bytes.data(), bytes.size());
+  const Status b = internal::ReadBlock(&full, &prev_dc, coef);
+  return {a, b};
+}
+
+TEST(BlockDecodeTest, RunChecksAtTheBlockEnd) {
+  // A run of 62 fills the block to its last coefficient; any run after
+  // that, even 0, overruns it.
+  for (bool extra_run : {false, true}) {
+    BitWriter w;
+    w.WriteSE(3);
+    w.WriteUE(62);
+    w.WriteSE(-5);
+    if (extra_run) {
+      w.WriteUE(0);
+      w.WriteSE(1);
+    }
+    w.WriteUE(63);
+    int32_t dc = 0;
+    std::array<int32_t, 64> coef;
+    const auto [skim, full] = DecodeBothWays(w.Finish(), &dc, &coef);
+    if (!extra_run) {
+      ASSERT_TRUE(skim.ok()) << skim.ToString();
+      ASSERT_TRUE(full.ok()) << full.ToString();
+      EXPECT_EQ(dc, 3);
+      EXPECT_EQ(coef[63], -5);
+    } else {
+      EXPECT_EQ(skim.message(), "AC run overruns block");
+      EXPECT_EQ(full.message(), "AC run overruns block");
+    }
+  }
+}
+
+TEST(BlockDecodeTest, RunPastInt32RangeOverrunsBlock) {
+  // Runs of 2^31 - 1 and more (63-bit codes) must fail the overrun check
+  // like any other run past the block, not wrap to a negative position.
+  for (uint32_t run : {0x7FFFFFFFu, 0x80000005u, 0xFFFFFFFEu}) {
+    BitWriter w;
+    w.WriteSE(3);
+    w.WriteUE(run);
+    w.WriteSE(1);
+    w.WriteUE(63);
+    int32_t dc = 0;
+    std::array<int32_t, 64> coef;
+    const auto [skim, full] = DecodeBothWays(w.Finish(), &dc, &coef);
+    EXPECT_EQ(skim.message(), "AC run overruns block") << "run " << run;
+    EXPECT_EQ(full.message(), "AC run overruns block") << "run " << run;
+  }
+}
+
+TEST(BlockDecodeTest, DcPredictionWrapsModulo32Bits) {
+  // Hostile DC diffs may push the DPCM predictor past int32; it wraps.
+  BitWriter w;
+  for (int b = 0; b < 2; ++b) {
+    w.WriteSE(2147483647);
+    w.WriteUE(63);
+  }
+  const auto bytes = w.Finish();
+  BitReader r(bytes.data(), bytes.size());
+  int32_t prev_dc = 0, dc = 0;
+  ASSERT_EQ(internal::ReadBlockDcOnly(r, &prev_dc, &dc), internal::BlockError::kNone);
+  EXPECT_EQ(dc, 2147483647);
+  ASSERT_EQ(internal::ReadBlockDcOnly(r, &prev_dc, &dc), internal::BlockError::kNone);
+  EXPECT_EQ(dc, -2);
 }
 
 }  // namespace
