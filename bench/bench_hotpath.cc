@@ -1,15 +1,19 @@
 /// \file bench_hotpath.cc
 /// End-to-end per-window hot-path benchmark: windows/second and heap
-/// allocations/window for the pooled (flat arena + batched slab kernels)
-/// versus scalar (per-object) candidate paths, over
-/// {Sequential, Geometric} × {Bit, Sketch} at K ∈ {16, 64, 256}.
+/// allocations/window of the detector's window step (flat arenas + batched
+/// slab kernels), over {Sequential, Geometric} × {Bit, Sketch} at
+/// K ∈ {16, 64, 256}. Each configuration runs twice, with alternating
+/// measured reps: once on the scalar kernel ISA and once on the dispatched
+/// ISA (the widest the CPU supports, or the one VCD_KERNEL_ISA names), so
+/// the ratio of the two measures the kernels on the same code path and
+/// host.
 ///
 /// The workload is a no-index, low-δ configuration with 40 subscribed
 /// queries, which keeps every query's state alive in every candidate —
 /// the densest steady-state combination load (≈ Q·⌈λL/w⌉ signatures per
 /// window) — so the numbers isolate combination/test kernel cost rather
 /// than match emission. Allocations are counted by a global operator
-/// new/delete hook; the pooled path must report 0 per steady-state window.
+/// new/delete hook; every run must report 0 per steady-state window.
 ///
 /// Flags: --quick (short measurement, for CI smoke), --json=PATH (machine
 /// readable output via BenchJsonWriter), --metrics-json=PATH (a sample
@@ -21,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -94,7 +99,6 @@ struct RunSpec {
   core::Representation rep;
   core::CombinationOrder order;
   int K;
-  bool pooled;
 };
 
 struct RunResult {
@@ -113,9 +117,15 @@ std::vector<CellId> RandomIds(Rng* rng, size_t n, uint32_t lo, uint32_t hi) {
   return out;
 }
 
-RunResult RunOne(const RunSpec& spec, const std::vector<CellId>& stream,
-                 const std::vector<std::vector<CellId>>& queries,
-                 int warm_windows, int meas_windows, int reps) {
+/// Measures one configuration once per kernel ISA in \p isas. Each ISA gets
+/// its own detector (pools capture the kernel table at construction), and
+/// the measured reps alternate between them, so a slow host phase hits
+/// every ISA alike instead of skewing the ratio between them.
+std::vector<RunResult> RunConfig(const RunSpec& spec,
+                                 const std::vector<std::string>& isas,
+                                 const std::vector<CellId>& stream,
+                                 const std::vector<std::vector<CellId>>& queries,
+                                 int warm_windows, int meas_windows, int reps) {
   core::DetectorConfig c;
   c.K = spec.K;
   c.window_seconds = 4.0;
@@ -134,57 +144,69 @@ RunResult RunOne(const RunSpec& spec, const std::vector<CellId>& stream,
   c.order = spec.order;
   c.use_index = false;
   c.enable_pruning = true;
-  c.use_pooled_kernels = spec.pooled;
-  auto det = core::CopyDetector::Create(c).value();
-  for (size_t q = 0; q < queries.size(); ++q) {
-    VCD_CHECK(det->AddQueryCells(static_cast<int>(q) + 1, queries[q],
-                                 kQuerySeconds)
-                  .ok(),
-              "add query");
-  }
 
-  int64_t slot = 0;
-  const auto feed = [&](int64_t n_slots) {
-    const int64_t end = slot + n_slots;
-    for (; slot < end; ++slot) {
-      VCD_CHECK(det->ProcessFingerprint(
-                       slot * 12, static_cast<double>(slot) / kKeyFps,
-                       stream[static_cast<size_t>(slot) % stream.size()])
+  struct Arm {
+    std::unique_ptr<core::CopyDetector> det;
+    int64_t slot = 0;
+    double best_secs = 0.0;
+    RunResult r;
+  };
+  const auto feed = [&](Arm& arm, int64_t n_slots) {
+    const int64_t end = arm.slot + n_slots;
+    for (; arm.slot < end; ++arm.slot) {
+      VCD_CHECK(arm.det->ProcessFingerprint(
+                       arm.slot * 12, static_cast<double>(arm.slot) / kKeyFps,
+                       stream[static_cast<size_t>(arm.slot) % stream.size()])
                     .ok(),
                 "feed");
     }
   };
 
-  feed(static_cast<int64_t>(warm_windows) * kSlotsPerWindow);
+  std::vector<Arm> arms(isas.size());
+  for (size_t a = 0; a < isas.size(); ++a) {
+    VCD_CHECK(sketch::kernels::ForceIsa(isas[a]).ok(), "force kernel ISA");
+    arms[a].det = core::CopyDetector::Create(c).value();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      VCD_CHECK(arms[a].det->AddQueryCells(static_cast<int>(q) + 1, queries[q],
+                                           kQuerySeconds)
+                    .ok(),
+                "add query");
+    }
+    feed(arms[a], static_cast<int64_t>(warm_windows) * kSlotsPerWindow);
+  }
 
   // Best-of-reps on time (shields against external machine noise); worst-of
   // on allocations (a single stray allocation in any rep must show).
-  RunResult r;
-  double best_secs = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    const int64_t windows_before = det->stats().windows;
-    const int64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    feed(static_cast<int64_t>(meas_windows) * kSlotsPerWindow);
-    const auto t1 = std::chrono::steady_clock::now();
-    const int64_t allocs_after = g_alloc_count.load(std::memory_order_relaxed);
-    const int64_t windows = det->stats().windows - windows_before;
-    VCD_CHECK(windows > 0, "no windows measured");
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    const double apw = static_cast<double>(allocs_after - allocs_before) /
-                       static_cast<double>(windows);
-    if (rep == 0 || secs < best_secs) {
-      best_secs = secs;
-      r.windows = windows;
-      r.windows_per_sec = static_cast<double>(windows) / secs;
+    for (Arm& arm : arms) {
+      const int64_t windows_before = arm.det->stats().windows;
+      const int64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+      const auto t0 = std::chrono::steady_clock::now();
+      feed(arm, static_cast<int64_t>(meas_windows) * kSlotsPerWindow);
+      const auto t1 = std::chrono::steady_clock::now();
+      const int64_t allocs_after = g_alloc_count.load(std::memory_order_relaxed);
+      const int64_t windows = arm.det->stats().windows - windows_before;
+      VCD_CHECK(windows > 0, "no windows measured");
+      const double secs = std::chrono::duration<double>(t1 - t0).count();
+      const double apw = static_cast<double>(allocs_after - allocs_before) /
+                         static_cast<double>(windows);
+      if (rep == 0 || secs < arm.best_secs) {
+        arm.best_secs = secs;
+        arm.r.windows = windows;
+        arm.r.windows_per_sec = static_cast<double>(windows) / secs;
+      }
+      if (apw > arm.r.allocs_per_window) arm.r.allocs_per_window = apw;
     }
-    if (apw > r.allocs_per_window) r.allocs_per_window = apw;
   }
-  r.sigs_per_window = det->stats().signatures_per_window.mean();
-  return r;
+  std::vector<RunResult> out;
+  for (Arm& arm : arms) {
+    arm.r.sigs_per_window = arm.det->stats().signatures_per_window.mean();
+    out.push_back(arm.r);
+  }
+  return out;
 }
 
-/// Runs a short pooled Sequential-Bit K=64 pass with a private registry
+/// Runs a short Sequential-Bit K=64 pass with a private registry
 /// attached to the detector and writes the registry's JSON document to
 /// \p path. Used by CI to archive a sample observability snapshot; kept
 /// separate from the measured runs so attaching the registry can never
@@ -202,7 +224,6 @@ bool WriteMetricsSample(const std::string& path,
   c.order = core::CombinationOrder::kSequential;
   c.use_index = false;
   c.enable_pruning = true;
-  c.use_pooled_kernels = true;
   c.metrics = &registry;
   auto det = core::CopyDetector::Create(c).value();
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -235,8 +256,8 @@ bool WriteMetricsSample(const std::string& path,
 /// snapshot container (sections + CRCs). Disk I/O is deliberately excluded —
 /// it varies with the filesystem, while export+encode is the CPU cost every
 /// checkpoint pays with intake stopped. Returns the best-of-\p reps pause in
-/// milliseconds for a warmed-up pooled Sequential-Bit K=64 detector — the
-/// same configuration the headline speedup row uses.
+/// milliseconds for a warmed-up Sequential-Bit K=64 detector — the same
+/// configuration the headline speedup row uses.
 double MeasureCheckpointPauseMs(const std::vector<CellId>& stream,
                                 const std::vector<std::vector<CellId>>& queries,
                                 int warm_windows, int reps) {
@@ -249,7 +270,6 @@ double MeasureCheckpointPauseMs(const std::vector<CellId>& stream,
   c.order = core::CombinationOrder::kSequential;
   c.use_index = false;
   c.enable_pruning = true;
-  c.use_pooled_kernels = true;
   auto det = core::CopyDetector::Create(c).value();
   for (size_t q = 0; q < queries.size(); ++q) {
     VCD_CHECK(det->AddQueryCells(static_cast<int>(q) + 1, queries[q],
@@ -305,7 +325,6 @@ double MeasureQosGovernorOverheadPct(int frames, int reps) {
   c.K = 64;
   c.window_seconds = 4.0;
   c.delta = 0.05;
-  c.use_pooled_kernels = true;
 
   const auto run_ms = [&](bool qos_on) {
     core::ParallelConfig pc;
@@ -392,6 +411,10 @@ int main(int argc, char** argv) {
   const int warm_windows = quick ? 80 : 120;
   const int meas_windows = quick ? 60 : 200;
   const int reps = quick ? 1 : 3;
+  // The windows/sec rows take the best of 3 in both modes: a quick run's 60
+  // windows last a few ms, so one preempted rep can halve a row, and the
+  // best-ISA/scalar-ISA ratio inherits the full swing.
+  const int row_reps = 3;
 
   Rng rng(20080615);
   std::vector<std::vector<CellId>> queries;
@@ -402,52 +425,56 @@ int main(int argc, char** argv) {
   // min-hash position ever compares equal against a query.
   const std::vector<CellId> stream = RandomIds(&rng, 20000, 4096, 60000);
 
+  // The dispatched ISA, resolved before any ForceIsa: the widest level the
+  // CPU supports, or the one VCD_KERNEL_ISA names.
+  const std::string best_isa = sketch::kernels::ActiveOps().name;
+  std::vector<std::string> isas = {"scalar"};
+  if (best_isa != "scalar") isas.push_back(best_isa);
+
   bench::BenchJsonWriter json("hotpath");
-  json.AddMeta("kernel_isa",
-               bench::BenchJsonWriter::Str(sketch::kernels::ActiveOps().name));
+  json.AddMeta("kernel_isa", bench::BenchJsonWriter::Str(best_isa));
   json.AddMeta("queries", bench::BenchJsonWriter::Num(int64_t{kNumQueries}));
   json.AddMeta("warm_windows", bench::BenchJsonWriter::Num(int64_t{warm_windows}));
   json.AddMeta("meas_windows", bench::BenchJsonWriter::Num(int64_t{meas_windows}));
-  json.AddMeta("reps", bench::BenchJsonWriter::Num(int64_t{reps}));
+  json.AddMeta("reps", bench::BenchJsonWriter::Num(int64_t{row_reps}));
   json.AddMeta("quick", bench::BenchJsonWriter::Bool(quick));
 
   std::printf(
       "bench_hotpath: %d queries, %d measured windows per run%s, "
-      "kernel backend: %s\n",
-      kNumQueries, meas_windows, quick ? " (quick)" : "",
-      sketch::kernels::ActiveOps().name);
+      "kernel ISAs: scalar vs %s\n",
+      kNumQueries, meas_windows, quick ? " (quick)" : "", best_isa.c_str());
   std::printf("%-11s %-7s %5s %7s | %13s %13s %9s | %8s\n", "order", "rep",
-              "K", "path", "windows/s", "alloc/win", "sig/win", "speedup");
+              "K", "isa", "windows/s", "alloc/win", "sig/win", "speedup");
 
   bool pooled_alloc_free = true;
-  double seqbit64_scalar = 0.0, seqbit64_pooled = 0.0;
+  double seqbit64_scalar = 0.0, seqbit64_best = 0.0;
   for (core::CombinationOrder order : {core::CombinationOrder::kSequential,
                                        core::CombinationOrder::kGeometric}) {
     for (core::Representation rep :
          {core::Representation::kBit, core::Representation::kSketch}) {
       for (int k : {16, 64, 256}) {
-        double scalar_wps = 0.0;
-        for (bool pooled : {false, true}) {
-          const RunSpec spec{rep, order, k, pooled};
-          const RunResult r =
-              RunOne(spec, stream, queries, warm_windows, meas_windows, reps);
-          if (pooled && r.allocs_per_window != 0.0) pooled_alloc_free = false;
-          if (!pooled) scalar_wps = r.windows_per_sec;
+        const std::vector<RunResult> results =
+            RunConfig(RunSpec{rep, order, k}, isas, stream, queries,
+                      warm_windows, meas_windows, row_reps);
+        const double scalar_wps = results[0].windows_per_sec;  // isas[0]
+        for (size_t a = 0; a < isas.size(); ++a) {
+          const std::string& isa = isas[a];
+          const RunResult& r = results[a];
+          const bool scalar = isa == "scalar";
+          if (r.allocs_per_window != 0.0) pooled_alloc_free = false;
           if (order == core::CombinationOrder::kSequential &&
               rep == core::Representation::kBit && k == 64) {
-            (pooled ? seqbit64_pooled : seqbit64_scalar) = r.windows_per_sec;
+            (scalar ? seqbit64_scalar : seqbit64_best) = r.windows_per_sec;
           }
           std::printf("%-11s %-7s %5d %7s | %13.1f %13.2f %9.1f | %7.2fx\n",
-                      OrderName(order), RepName(rep), k,
-                      pooled ? "pooled" : "scalar", r.windows_per_sec,
-                      r.allocs_per_window, r.sigs_per_window,
-                      pooled && scalar_wps > 0 ? r.windows_per_sec / scalar_wps
-                                               : 1.0);
+                      OrderName(order), RepName(rep), k, isa.c_str(),
+                      r.windows_per_sec, r.allocs_per_window, r.sigs_per_window,
+                      scalar_wps > 0 ? r.windows_per_sec / scalar_wps : 1.0);
           json.AddRow({
               {"order", bench::BenchJsonWriter::Str(OrderName(order))},
               {"representation", bench::BenchJsonWriter::Str(RepName(rep))},
               {"K", bench::BenchJsonWriter::Num(int64_t{k})},
-              {"pooled", bench::BenchJsonWriter::Bool(pooled)},
+              {"isa", bench::BenchJsonWriter::Str(isa)},
               {"windows_per_sec", bench::BenchJsonWriter::Num(r.windows_per_sec)},
               {"allocs_per_window",
                bench::BenchJsonWriter::Num(r.allocs_per_window)},
@@ -459,14 +486,17 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // The remaining measurements run on the dispatched ISA.
+  VCD_CHECK(sketch::kernels::ForceIsa(best_isa).ok(), "restore kernel ISA");
 
   const double speedup =
-      seqbit64_scalar > 0 ? seqbit64_pooled / seqbit64_scalar : 0.0;
+      seqbit64_scalar > 0 && seqbit64_best > 0 ? seqbit64_best / seqbit64_scalar
+                                               : 0.0;
   const double ckpt_pause_ms =
       MeasureCheckpointPauseMs(stream, queries, warm_windows, reps);
-  std::printf("\nSequential-Bit K=64: scalar %.1f w/s, pooled %.1f w/s "
-              "(%.2fx); pooled steady-state allocations/window: %s\n",
-              seqbit64_scalar, seqbit64_pooled, speedup,
+  std::printf("\nSequential-Bit K=64: scalar ISA %.1f w/s, %s %.1f w/s "
+              "(%.2fx); steady-state allocations/window: %s\n",
+              seqbit64_scalar, best_isa.c_str(), seqbit64_best, speedup,
               pooled_alloc_free ? "0 (all runs)" : "NONZERO");
   std::printf("checkpoint pause (export+encode, steady state): %.3f ms\n",
               ckpt_pause_ms);
@@ -498,6 +528,6 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", metrics_json_path.c_str());
   }
-  // The smoke contract for CI: the pooled hot path must stay allocation-free.
+  // The smoke contract for CI: the window step must stay allocation-free.
   return pooled_alloc_free ? 0 : 1;
 }

@@ -134,12 +134,6 @@ struct DetectorConfig {
   bool use_index = true;
   /// Apply Lemma-2 pruning (ablation knob; on in the paper).
   bool enable_pruning = true;
-  /// Run the per-window hot path on the flat arena/SoA candidate storage
-  /// with batched signature kernels (SignaturePool/SketchPool) instead of
-  /// the scalar per-object reference path. Both paths are semantically
-  /// identical (property-tested); the pooled path performs zero heap
-  /// allocations per steady-state window. Off = the scalar reference.
-  bool use_pooled_kernels = true;
 
   /// After a query matches, suppress repeated reports of the same query for
   /// this many seconds of stream time. Negative = the query's own duration

@@ -88,31 +88,29 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
   queries_.push_back(std::move(rec));
   query_window_cap_.push_back(queries_.back().max_windows);
   id_to_ordinal_[id] = static_cast<int>(queries_.size()) - 1;
-  if (config_.use_pooled_kernels) {
-    // Structural bound for the flattened cross-candidate sweep: a chain
-    // holds at most global_max_windows_ + 1 live candidates, each carrying
-    // at most one signature per query. Reserving at subscription time keeps
-    // TestPooledBitSeqBatch allocation-free in steady state — stochastic
-    // pruning makes the flat total fluctuate, so a warmup high-water mark
-    // alone does not bound it.
-    const size_t bound =
-        static_cast<size_t>(global_max_windows_ + 1) * queries_.size();
-    scratch_.handle_buf.reserve(bound);
-    scratch_.eq_buf.reserve(bound);
-    scratch_.less_buf.reserve(bound);
-    // The union slow path of MergePooledBit only runs after a Lemma-2 prune
-    // desyncs a candidate's query set — an event warmup may never see, so
-    // these buffers cannot rely on a high-water mark. One entry per query
-    // bounds the merge union.
-    scratch_.merge_sigs.reserve(queries_.size());
-    scratch_.merge_or_idx.reserve(queries_.size());
-    scratch_.or_dst.reserve(queries_.size());
-    scratch_.or_src.reserve(queries_.size());
-    scratch_.or_less.reserve(queries_.size());
-    scratch_.merge_related.reserve(queries_.size());
-    scratch_.related.reserve(queries_.size());
-    scratch_.related_seen.reserve((queries_.size() + 63) / 64);
-  }
+  // Structural bound for the flattened cross-candidate sweep: a chain
+  // holds at most global_max_windows_ + 1 live candidates, each carrying
+  // at most one signature per query. Reserving at subscription time keeps
+  // TestPooledBitSeqBatch allocation-free in steady state — stochastic
+  // pruning makes the flat total fluctuate, so a warmup high-water mark
+  // alone does not bound it.
+  const size_t bound =
+      static_cast<size_t>(global_max_windows_ + 1) * queries_.size();
+  scratch_.handle_buf.reserve(bound);
+  scratch_.eq_buf.reserve(bound);
+  scratch_.less_buf.reserve(bound);
+  // The union slow path of MergePooledBit only runs after a Lemma-2 prune
+  // desyncs a candidate's query set — an event warmup may never see, so
+  // these buffers cannot rely on a high-water mark. One entry per query
+  // bounds the merge union.
+  scratch_.merge_sigs.reserve(queries_.size());
+  scratch_.merge_or_idx.reserve(queries_.size());
+  scratch_.or_dst.reserve(queries_.size());
+  scratch_.or_src.reserve(queries_.size());
+  scratch_.or_less.reserve(queries_.size());
+  scratch_.merge_related.reserve(queries_.size());
+  scratch_.related.reserve(queries_.size());
+  scratch_.related_seen.reserve((queries_.size() + 63) / 64);
   return Status::OK();
 }
 
@@ -215,10 +213,6 @@ Status CopyDetector::Finish() {
 void CopyDetector::ResetStream() {
   assembler_.emplace(
       stream::BasicWindowAssembler::Create(config_.window_seconds).value());
-  seq_bit_.Clear();
-  seq_sketch_.Clear();
-  geo_bit_.Clear();
-  geo_sketch_.Clear();
   const auto retire_bit = [&](PooledBitCand& c) { RetirePooledBit(&c); };
   const auto retire_sketch = [&](PooledSketchCand& c) { RetirePooledSketch(&c); };
   pseq_bit_.Clear(retire_bit);
@@ -257,152 +251,7 @@ void CopyDetector::EmitMatch(int q, int64_t start_frame, int64_t end_frame,
   matches_.push_back(m);
 }
 
-// --- scalar reference path --------------------------------------------------
-
-CopyDetector::BitCand CopyDetector::MakeBitCand(const stream::BasicWindow& window,
-                                                const sketch::Sketch& wsk) {
-  BitCand c;
-  c.num_windows = 1;
-  c.start_frame = window.start_frame;
-  c.end_frame = window.end_frame;
-  c.start_time = window.start_time;
-  c.end_time = window.end_time;
-  if (config_.use_index) {
-    if (!index_.has_value()) return c;
-    // R_L, built query-major (DESIGN.md §6): probe-time prunes are not
-    // counted, and bitsig_builds counts the survivors only.
-    VCD_OBS_SPAN(metrics_.probe_ns);
-    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
-    for (int q : scratch_.related) {
-      // NOLINT(vcd-pooled-hotpath): scalar reference path
-      sketch::BitSignature sig = sketch::BitSignature::FromSketches(
-          wsk, queries_[static_cast<size_t>(q)].sketch);
-      if (config_.enable_pruning && !sig.SatisfiesLemma2(config_.delta)) continue;
-      ++stats_.bitsig_builds;
-      c.sigs.push_back(BitCand::Sig{q, std::move(sig)});
-    }
-  } else {
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      if (!queries_[q].active) continue;
-      // NOLINT(vcd-pooled-hotpath): scalar reference path
-      sketch::BitSignature sig =
-          sketch::BitSignature::FromSketches(wsk, queries_[q].sketch);
-      ++stats_.bitsig_builds;
-      if (config_.enable_pruning && !sig.SatisfiesLemma2(config_.delta)) {
-        ++stats_.candidates_pruned;
-        continue;
-      }
-      c.sigs.push_back(BitCand::Sig{static_cast<int>(q), std::move(sig)});
-    }
-  }
-  return c;
-}
-
-CopyDetector::SketchCand CopyDetector::MakeSketchCand(const stream::BasicWindow& window,
-                                                      const sketch::Sketch& wsk) {
-  SketchCand c;
-  c.num_windows = 1;
-  c.start_frame = window.start_frame;
-  c.end_frame = window.end_frame;
-  c.start_time = window.start_time;
-  c.end_time = window.end_time;
-  c.sketch = wsk;
-  if (config_.use_index && index_.has_value()) {
-    VCD_OBS_SPAN(metrics_.probe_ns);
-    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &c.related);
-  }
-  return c;
-}
-
-void CopyDetector::MergeBit(BitCand& older, const BitCand& newer) {
-  // Union-merge the signature lists (both sorted by ordinal). A query
-  // present on one side only keeps that side's bits: the missing side
-  // contributes the all-">" signature, which ORs to nothing (§V-A).
-  std::vector<BitCand::Sig> merged;
-  merged.reserve(older.sigs.size() + newer.sigs.size());
-  size_t i = 0, j = 0;
-  while (i < older.sigs.size() || j < newer.sigs.size()) {
-    BitCand::Sig out;
-    if (j >= newer.sigs.size() ||
-        (i < older.sigs.size() && older.sigs[i].q < newer.sigs[j].q)) {
-      out = std::move(older.sigs[i++]);
-    } else if (i >= older.sigs.size() || newer.sigs[j].q < older.sigs[i].q) {
-      out = newer.sigs[j++];
-    } else {
-      out = std::move(older.sigs[i++]);
-      out.sig.OrWith(newer.sigs[j++].sig);
-      ++stats_.bitsig_ors;
-    }
-    if (config_.enable_pruning && !out.sig.SatisfiesLemma2(config_.delta)) {
-      ++stats_.candidates_pruned;
-      continue;
-    }
-    merged.push_back(std::move(out));
-  }
-  older.sigs = std::move(merged);
-  older.num_windows += newer.num_windows;
-  older.end_frame = newer.end_frame;
-  older.end_time = newer.end_time;
-}
-
-void CopyDetector::MergeSketch(SketchCand& older, const SketchCand& newer) {
-  sketch::Sketcher::Combine(&older.sketch, newer.sketch);
-  ++stats_.sketch_combines;
-  if (config_.use_index) {
-    std::vector<int> merged;
-    merged.reserve(older.related.size() + newer.related.size());
-    std::set_union(older.related.begin(), older.related.end(), newer.related.begin(),
-                   newer.related.end(), std::back_inserter(merged));
-    older.related = std::move(merged);
-  }
-  older.num_windows += newer.num_windows;
-  older.end_frame = newer.end_frame;
-  older.end_time = newer.end_time;
-}
-
-bool CopyDetector::TestBitCand(BitCand& c) {
-  size_t out = 0;
-  for (size_t i = 0; i < c.sigs.size(); ++i) {
-    BitCand::Sig& s = c.sigs[i];
-    const QueryRec& q = queries_[static_cast<size_t>(s.q)];
-    if (!q.active) continue;                       // unsubscribed: drop
-    if (c.num_windows > q.max_windows) continue;   // per-query λL expiry
-    if (config_.enable_pruning && !s.sig.SatisfiesLemma2(config_.delta)) {
-      ++stats_.candidates_pruned;
-      continue;
-    }
-    const double sim = s.sig.Similarity();
-    if (sim >= config_.delta) {
-      EmitMatch(s.q, c.start_frame, c.end_frame, c.start_time, c.end_time, sim);
-    }
-    if (out != i) c.sigs[out] = std::move(s);
-    ++out;
-  }
-  c.sigs.resize(out);
-  return !c.sigs.empty();
-}
-
-bool CopyDetector::TestSketchCand(SketchCand& c) {
-  auto test_one = [&](int q_ord) {
-    const QueryRec& q = queries_[static_cast<size_t>(q_ord)];
-    if (!q.active) return;
-    if (c.num_windows > q.max_windows) return;
-    ++stats_.sketch_compares;
-    const double sim = sketch::Sketcher::Similarity(c.sketch, q.sketch);
-    if (sim >= config_.delta) {
-      EmitMatch(q_ord, c.start_frame, c.end_frame, c.start_time, c.end_time, sim);
-    }
-  };
-  if (config_.use_index) {
-    for (int q : c.related) test_one(q);
-  } else {
-    for (size_t q = 0; q < queries_.size(); ++q) test_one(static_cast<int>(q));
-  }
-  return true;
-}
-
-// --- pooled hot path --------------------------------------------------------
-
+// --- candidate operations -------------------------------------------------
 
 void CopyDetector::InitPooledBitCand(PooledBitCand* c,
                                      const stream::BasicWindow& window,
@@ -416,7 +265,8 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   sketch::SignaturePool& pool = *sig_pool_;
   if (config_.use_index) {
     if (!index_.has_value()) return;
-    // Mirror of MakeBitCand: R_L built query-major, survivors counted.
+    // R_L, built query-major (DESIGN.md §6): probe-time prunes are not
+    // counted, and bitsig_builds counts the survivors only.
     VCD_OBS_SPAN(metrics_.probe_ns);
     index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
     for (int q : scratch_.related) {
@@ -737,95 +587,19 @@ void CopyDetector::ProcessWindow(const stream::BasicWindow& window) {
     // separate because the input was fine, the governor chose not to spend
     // the work. Keyed off the deterministic window index, never wall time.
     ++stats_.qos_skipped_windows;
-  } else if (config_.use_pooled_kernels) {
-    ProcessWindowPooled(window);
   } else {
-    ProcessWindowScalar(window);
+    ProcessWindowPooled(window);
   }
   RecordWindowStats();
   PublishWindowMetrics();
   if (config_.validate_state) VCD_CHECK_OK(ValidateState());
 }
 
-void CopyDetector::ProcessWindowScalar(const stream::BasicWindow& window) {
+void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
   // Stage spans are per *window*, not per merge — the combine span covers
   // the whole Step; the test span covers the full candidate sweep (in the
   // geometric order that sweep interleaves suffix merges with tests, so
   // its combine share lands in the test span — documented in DESIGN.md §13).
-  // NOLINT(vcd-pooled-hotpath): scalar reference path
-  sketch::Sketch wsk;
-  {
-    VCD_OBS_SPAN(metrics_.sketch_build_ns);
-    wsk = sketcher_.FromSequence(window.ids);
-  }
-  const bool bit = config_.representation == Representation::kBit;
-  const bool seq = config_.order == CombinationOrder::kSequential;
-  const int eff_max = EffectiveMaxWindows();
-  const int geo_visits = GeoMaxVisits();
-  if (bit) {
-    BitCand fresh = MakeBitCand(window, wsk);
-    if (seq) {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        seq_bit_.Step(std::move(fresh), eff_max,
-                      [&](BitCand& older, const BitCand& newer) {
-                        MergeBit(older, newer);
-                      });
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      seq_bit_.ForEach([&](BitCand& c) { TestBitCand(c); });
-      seq_bit_.RemoveIf([](const BitCand& c) { return c.sigs.empty(); });
-    } else {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        geo_bit_.Step(std::move(fresh), eff_max,
-                      [&](BitCand& older, const BitCand& newer) {
-                        MergeBit(older, newer);
-                      });
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      geo_bit_.VisitSuffixes(
-          eff_max, [](const BitCand& c) { return c; },
-          [&](BitCand& older, const BitCand& newer) { MergeBit(older, newer); },
-          [&](BitCand& c) { TestBitCand(c); }, geo_visits);
-      // Blocks are kept even when all their signatures prune away: their
-      // window spans still participate in suffix-length accounting.
-    }
-  } else {
-    SketchCand fresh = MakeSketchCand(window, wsk);
-    if (seq) {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        seq_sketch_.Step(std::move(fresh), eff_max,
-                         [&](SketchCand& older, const SketchCand& newer) {
-                           MergeSketch(older, newer);
-                         });
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      seq_sketch_.ForEach([&](SketchCand& c) { TestSketchCand(c); });
-    } else {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        geo_sketch_.Step(std::move(fresh), eff_max,
-                         [&](SketchCand& older, const SketchCand& newer) {
-                           MergeSketch(older, newer);
-                         });
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      geo_sketch_.VisitSuffixes(
-          eff_max, [](const SketchCand& c) { return c; },
-          [&](SketchCand& older, const SketchCand& newer) {
-            MergeSketch(older, newer);
-          },
-          [&](SketchCand& c) { TestSketchCand(c); }, geo_visits);
-    }
-  }
-}
-
-void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
-  // Span placement mirrors ProcessWindowScalar: combine covers Step, test
-  // covers the candidate sweep (which, in geometric order, interleaves
-  // suffix merges).
   {
     VCD_OBS_SPAN(metrics_.sketch_build_ns);
     sketcher_.FromSequenceInto(window.ids, &scratch_.window_sketch);
@@ -863,8 +637,8 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
           },
           merge, [&](PooledBitCand& c) { TestPooledBitCand(c); }, retire,
           geo_visits);
-      // Blocks are kept even when all their signatures prune away, exactly
-      // as on the scalar path.
+      // Blocks are kept even when all their signatures prune away: their
+      // window spans still participate in suffix-length accounting.
     }
   } else {
     const auto init = [&](PooledSketchCand& c) {
@@ -904,7 +678,6 @@ void CopyDetector::RecordWindowStats() {
   int longest = 0;
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
-  const bool pooled = config_.use_pooled_kernels;
   const auto count_bit = [&](const auto& c) {
     sig_count += static_cast<int64_t>(c.sigs.size());
     ++cand_count;
@@ -917,47 +690,26 @@ void CopyDetector::RecordWindowStats() {
     longest = std::max(longest, c.num_windows);
   };
   if (bit && seq) {
-    if (pooled) {
-      pseq_bit_.ForEach(count_bit);
-    } else {
-      seq_bit_.ForEach(count_bit);
-    }
-  } else if (bit && !seq) {
-    if (pooled) {
-      pgeo_bit_.ForEach(count_bit);
-    } else {
-      geo_bit_.ForEach(count_bit);
-    }
-  } else if (!bit && seq) {
-    if (pooled) {
-      pseq_sketch_.ForEach(count_sketch);
-    } else {
-      seq_sketch_.ForEach(count_sketch);
-    }
+    pseq_bit_.ForEach(count_bit);
+  } else if (bit) {
+    pgeo_bit_.ForEach(count_bit);
+  } else if (seq) {
+    pseq_sketch_.ForEach(count_sketch);
   } else {
-    if (pooled) {
-      pgeo_sketch_.ForEach(count_sketch);
-    } else {
-      geo_sketch_.ForEach(count_sketch);
-    }
+    pgeo_sketch_.ForEach(count_sketch);
   }
   stats_.signatures_per_window.Add(static_cast<double>(sig_count));
   stats_.candidates_per_window.Add(static_cast<double>(cand_count));
   last_cand_count_ = cand_count;
   if (longest <= global_max_windows_) span_bound_ = global_max_windows_;
-  int64_t slots = 0;
-  if (pooled) {
-    slots = bit ? static_cast<int64_t>(sig_pool_->live_count())
-                : static_cast<int64_t>(sketch_pool_->live_count());
-  }
+  const size_t slots = bit ? sig_pool_->live_count() : sketch_pool_->live_count();
   stats_.pool_slots_per_window.Add(static_cast<double>(slots));
 }
 
 void CopyDetector::PublishWindowMetrics() {
-  // One delta batch per window. Derived purely from stats_ and the
-  // candidate census, both of which are identical across the pooled and
-  // scalar paths (pinned by the pooled-equivalence and metrics-equivalence
-  // tests), so the published counters are path-independent too.
+  // One delta batch per window, derived purely from stats_ and the
+  // candidate census (pinned by the detector golden and metrics-equivalence
+  // tests), so the published counters are kernel-ISA-independent too.
   if (!obs::kEnabled || metrics_.windows_total == nullptr) return;
   const auto delta = [](int64_t now, int64_t* prev) {
     const int64_t d = now - *prev;
@@ -1040,40 +792,9 @@ Status CopyDetector::ValidateState() const {
     }
     return Status::OK();
   };
-  const auto check_bit = [&](const BitCand& c) -> Status {
-    VCD_RETURN_IF_ERROR(check_span(c.num_windows));
-    int prev_q = -1;
-    for (const BitCand::Sig& s : c.sigs) {
-      VCD_RETURN_IF_ERROR(check_ordinals(s.q, prev_q));
-      prev_q = s.q;
-      if (s.sig.K() != config_.K) {
-        return Status::Internal("bit signature K does not match config");
-      }
-      VCD_RETURN_IF_ERROR(s.sig.Validate());
-    }
-    return Status::OK();
-  };
-  const auto check_sketch = [&](const SketchCand& c) -> Status {
-    VCD_RETURN_IF_ERROR(check_span(c.num_windows));
-    if (c.sketch.K() != config_.K) {
-      return Status::Internal("candidate sketch K does not match config");
-    }
-    int prev_q = -1;
-    for (int q : c.related) {
-      if (q < 0 || q >= static_cast<int>(queries_.size())) {
-        return Status::Internal("related list has out-of-range query ordinal " +
-                                std::to_string(q));
-      }
-      if (q <= prev_q) {
-        return Status::Internal("related list not strictly sorted");
-      }
-      prev_q = q;
-    }
-    return Status::OK();
-  };
-  // Pooled candidates: every referenced slot must be live, well-formed when
-  // materialized, and — counted across all candidates — account for exactly
-  // the pools' live slots (no leaked and no doubly-owned handles).
+  // Every referenced slot must be live, well-formed when materialized, and
+  // — counted across all candidates — account for exactly the pools' live
+  // slots (no leaked and no doubly-owned handles).
   size_t bit_handles = 0;
   size_t sketch_handles = 0;
   const auto check_pooled_bit = [&](const PooledBitCand& c) -> Status {
@@ -1110,18 +831,6 @@ Status CopyDetector::ValidateState() const {
     return Status::OK();
   };
 
-  for (size_t i = 0; i < seq_bit_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_bit(seq_bit_.at(i)));
-  }
-  for (const auto& slot : geo_bit_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_bit(*slot));
-  }
-  for (size_t i = 0; i < seq_sketch_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_sketch(seq_sketch_.at(i)));
-  }
-  for (const auto& slot : geo_sketch_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_sketch(*slot));
-  }
   for (size_t i = 0; i < pseq_bit_.size(); ++i) {
     VCD_RETURN_IF_ERROR(check_pooled_bit(pseq_bit_.at(i)));
   }
@@ -1207,28 +916,12 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     const BitVector& bits = sig.bits();
     return std::vector<uint64_t>(bits.words(), bits.words() + bits.num_words());
   };
-  const auto export_bit = [&](const BitCand& c, int32_t level) {
-    CkptCandidate out = base_of(c, level);
-    for (const BitCand::Sig& s : c.sigs) {
-      out.sigs.push_back(CkptCandidate::Sig{
-          queries_[static_cast<size_t>(s.q)].id, words_of(s.sig)});
-    }
-    st.candidates.push_back(std::move(out));
-  };
   const auto export_pbit = [&](const PooledBitCand& c, int32_t level) {
     CkptCandidate out = base_of(c, level);
     for (const PooledSigRef& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
           queries_[static_cast<size_t>(s.q)].id,
           words_of(sig_pool_->ToBitSignature(s.sig))});
-    }
-    st.candidates.push_back(std::move(out));
-  };
-  const auto export_sketch = [&](const SketchCand& c, int32_t level) {
-    CkptCandidate out = base_of(c, level);
-    out.mins = c.sketch.mins;
-    for (int q : c.related) {
-      out.related_ids.push_back(queries_[static_cast<size_t>(q)].id);
     }
     st.candidates.push_back(std::move(out));
   };
@@ -1249,30 +942,16 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
 
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
-  if (config_.use_pooled_kernels) {
-    if (bit && seq) {
-      for (size_t i = 0; i < pseq_bit_.size(); ++i) export_pbit(pseq_bit_.at(i), -1);
-    } else if (bit) {
-      export_ladder(pgeo_bit_, export_pbit);
-    } else if (seq) {
-      for (size_t i = 0; i < pseq_sketch_.size(); ++i) {
-        export_psketch(pseq_sketch_.at(i), -1);
-      }
-    } else {
-      export_ladder(pgeo_sketch_, export_psketch);
+  if (bit && seq) {
+    for (size_t i = 0; i < pseq_bit_.size(); ++i) export_pbit(pseq_bit_.at(i), -1);
+  } else if (bit) {
+    export_ladder(pgeo_bit_, export_pbit);
+  } else if (seq) {
+    for (size_t i = 0; i < pseq_sketch_.size(); ++i) {
+      export_psketch(pseq_sketch_.at(i), -1);
     }
   } else {
-    if (bit && seq) {
-      for (size_t i = 0; i < seq_bit_.size(); ++i) export_bit(seq_bit_.at(i), -1);
-    } else if (bit) {
-      export_ladder(geo_bit_, export_bit);
-    } else if (seq) {
-      for (size_t i = 0; i < seq_sketch_.size(); ++i) {
-        export_sketch(seq_sketch_.at(i), -1);
-      }
-    } else {
-      export_ladder(geo_sketch_, export_sketch);
-    }
+    export_ladder(pgeo_sketch_, export_psketch);
   }
   return st;
 }
@@ -1299,7 +978,6 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
 
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
-  const bool pooled = config_.use_pooled_kernels;
   // Signatures are 2K bits (two relation bits per hash position, §V-A).
   const size_t sig_words = (2 * static_cast<size_t>(config_.K) + 63) / 64;
   int32_t prev_level = -1;
@@ -1332,54 +1010,29 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
               " words, expected " + std::to_string(sig_words));
         }
       }
-      if (pooled) {
-        PooledBitCand out;
-        out.num_windows = c.num_windows;
-        out.start_frame = c.start_frame;
-        out.end_frame = c.end_frame;
-        out.start_time = c.start_time;
-        out.end_time = c.end_time;
-        for (const CkptCandidate::Sig& s : c.sigs) {
-          const int q = OrdinalOf(s.query_id);
-          if (q < 0) continue;  // query removed since the snapshot
-          const sketch::SignaturePool::Handle h = sig_pool_->Allocate();
-          for (size_t w = 0; w < sig_words; ++w) {
-            sig_pool_->word(h, w) = s.words[w];
-          }
-          out.sigs.push_back(PooledSigRef{q, h});
+      PooledBitCand out;
+      out.num_windows = c.num_windows;
+      out.start_frame = c.start_frame;
+      out.end_frame = c.end_frame;
+      out.start_time = c.start_time;
+      out.end_time = c.end_time;
+      for (const CkptCandidate::Sig& s : c.sigs) {
+        const int q = OrdinalOf(s.query_id);
+        if (q < 0) continue;  // query removed since the snapshot
+        const sketch::SignaturePool::Handle h = sig_pool_->Allocate();
+        for (size_t w = 0; w < sig_words; ++w) {
+          sig_pool_->word(h, w) = s.words[w];
         }
-        if (seq) {
-          pseq_bit_.RestoreBack(std::move(out));
-        } else {
-          auto& ladder = pgeo_bit_.ladder();
-          if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-            ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-          }
-          ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
-        }
+        out.sigs.push_back(PooledSigRef{q, h});
+      }
+      if (seq) {
+        pseq_bit_.RestoreBack(std::move(out));
       } else {
-        BitCand out;
-        out.num_windows = c.num_windows;
-        out.start_frame = c.start_frame;
-        out.end_frame = c.end_frame;
-        out.start_time = c.start_time;
-        out.end_time = c.end_time;
-        for (const CkptCandidate::Sig& s : c.sigs) {
-          const int q = OrdinalOf(s.query_id);
-          if (q < 0) continue;
-          out.sigs.push_back(BitCand::Sig{
-              q, sketch::BitSignature::FromRawWords(config_.K, s.words.data(),
-                                                    s.words.size())});
+        auto& ladder = pgeo_bit_.ladder();
+        if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
+          ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
         }
-        if (seq) {
-          seq_bit_.RestoreBack(std::move(out));
-        } else {
-          auto& ladder = geo_bit_.ladder();
-          if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-            ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-          }
-          ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
-        }
+        ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
       }
     } else {
       if (!c.sigs.empty()) {
@@ -1397,45 +1050,25 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
         if (q >= 0) related.push_back(q);
       }
       std::sort(related.begin(), related.end());
-      if (pooled) {
-        PooledSketchCand out;
-        out.num_windows = c.num_windows;
-        out.start_frame = c.start_frame;
-        out.end_frame = c.end_frame;
-        out.start_time = c.start_time;
-        out.end_time = c.end_time;
-        sketch::Sketch sk;  // NOLINT(vcd-pooled-hotpath): restore, cold
-        sk.mins = c.mins;
-        out.sketch = sketch_pool_->Allocate();
-        sketch_pool_->Assign(out.sketch, sk);
-        out.related = std::move(related);
-        if (seq) {
-          pseq_sketch_.RestoreBack(std::move(out));
-        } else {
-          auto& ladder = pgeo_sketch_.ladder();
-          if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-            ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-          }
-          ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
-        }
+      PooledSketchCand out;
+      out.num_windows = c.num_windows;
+      out.start_frame = c.start_frame;
+      out.end_frame = c.end_frame;
+      out.start_time = c.start_time;
+      out.end_time = c.end_time;
+      sketch::Sketch sk;  // NOLINT(vcd-pooled-hotpath): restore, cold
+      sk.mins = c.mins;
+      out.sketch = sketch_pool_->Allocate();
+      sketch_pool_->Assign(out.sketch, sk);
+      out.related = std::move(related);
+      if (seq) {
+        pseq_sketch_.RestoreBack(std::move(out));
       } else {
-        SketchCand out;
-        out.num_windows = c.num_windows;
-        out.start_frame = c.start_frame;
-        out.end_frame = c.end_frame;
-        out.start_time = c.start_time;
-        out.end_time = c.end_time;
-        out.sketch.mins = c.mins;
-        out.related = std::move(related);
-        if (seq) {
-          seq_sketch_.RestoreBack(std::move(out));
-        } else {
-          auto& ladder = geo_sketch_.ladder();
-          if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-            ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-          }
-          ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
+        auto& ladder = pgeo_sketch_.ladder();
+        if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
+          ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
         }
+        ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
       }
     }
     ++restored;
@@ -1446,6 +1079,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   // equivalence tests compare.
   published_.windows = stats_.windows;
   published_.degraded_windows = stats_.degraded_windows;
+  published_.qos_skipped_windows = stats_.qos_skipped_windows;
   published_.bitsig_builds = stats_.bitsig_builds;
   published_.bitsig_ors = stats_.bitsig_ors;
   published_.sketch_combines = stats_.sketch_combines;

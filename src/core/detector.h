@@ -50,8 +50,8 @@ struct DetectorStats {
   int64_t qos_skipped_windows = 0;
   RunningStats signatures_per_window;  ///< Fig. 10's memory metric
   RunningStats candidates_per_window;
-  /// Live arena slots after each window (pooled path only; 0 otherwise) —
-  /// the memory gauge of the flat candidate storage.
+  /// Live arena slots after each window — the memory gauge of the flat
+  /// candidate storage.
   RunningStats pool_slots_per_window;
 };
 
@@ -60,8 +60,8 @@ struct DetectorStats {
 /// The representation is config-agnostic: bit candidates carry their raw
 /// signature words, sketch candidates their min-hash arrays, and query
 /// references are *external* query ids (not ordinals), so a snapshot taken
-/// on one pooled/scalar/kernel configuration restores onto any other with
-/// the same detector parameters.
+/// under one kernel ISA restores onto any other with the same detector
+/// parameters.
 struct CkptCandidate {
   /// Geometric ladder slot index; -1 for sequential-order candidates.
   int32_t ladder_level = -1;
@@ -211,8 +211,8 @@ class CopyDetector {
 
   /// \brief Materializes the full mid-stream state for a checkpoint.
   ///
-  /// Pooled candidates are exported by live-slot walk (handles resolved to
-  /// raw words/mins), so the snapshot is independent of arena layout and
+  /// Candidates are exported by live-slot walk (handles resolved to raw
+  /// words/mins), so the snapshot is independent of arena layout and
   /// kernel ISA. Safe to call between any two ProcessKeyFrame calls.
   DetectorCkptState ExportCkptState() const;
 
@@ -243,36 +243,14 @@ class CopyDetector {
     bool active = true;
   };
 
-  /// Candidate payload for the Sketch representation (scalar reference
-  /// path; the pooled hot path uses PooledSketchCand).
-  struct SketchCand {
-    int num_windows = 0;
-    int64_t start_frame = 0, end_frame = 0;
-    double start_time = 0.0, end_time = 0.0;
-    sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): scalar reference
-    std::vector<int> related;  ///< query ordinals, sorted (empty when !use_index)
-  };
-
-  /// Candidate payload for the Bit representation (scalar reference path).
-  struct BitCand {
-    struct Sig {
-      int q = 0;  ///< query ordinal
-      sketch::BitSignature sig;  // NOLINT(vcd-pooled-hotpath): scalar reference
-    };
-    int num_windows = 0;
-    int64_t start_frame = 0, end_frame = 0;
-    double start_time = 0.0, end_time = 0.0;
-    std::vector<Sig> sigs;  ///< sorted by q
-  };
-
   /// One (query ordinal, SignaturePool slot) pair of a pooled candidate.
   struct PooledSigRef {
     int q = 0;
     sketch::SignaturePool::Handle sig = sketch::SignaturePool::kInvalidHandle;
   };
 
-  /// Bit-representation candidate on the pooled hot path: all signature
-  /// bits live in sig_pool_; the candidate holds only slot handles.
+  /// Bit-representation candidate: all signature bits live in sig_pool_;
+  /// the candidate holds only slot handles.
   struct PooledBitCand {
     int num_windows = 0;
     int64_t start_frame = 0, end_frame = 0;
@@ -280,8 +258,8 @@ class CopyDetector {
     std::vector<PooledSigRef> sigs;  ///< sorted by q
   };
 
-  /// Sketch-representation candidate on the pooled hot path: the min-hash
-  /// array lives in sketch_pool_.
+  /// Sketch-representation candidate: the min-hash array lives in
+  /// sketch_pool_.
   struct PooledSketchCand {
     int num_windows = 0;
     int64_t start_frame = 0, end_frame = 0;
@@ -290,9 +268,9 @@ class CopyDetector {
     std::vector<int> related;  ///< query ordinals, sorted (empty when !use_index)
   };
 
-  /// Reusable per-window working set of the pooled hot path. Every vector
-  /// keeps its capacity across windows, so steady-state ProcessWindow
-  /// performs zero heap allocations.
+  /// Reusable per-window working set. Every vector keeps its capacity
+  /// across windows, so steady-state ProcessWindow performs zero heap
+  /// allocations.
   struct WindowScratch {
     stream::BasicWindow window;        ///< assembler swap buffer
     // NOLINT(vcd-pooled-hotpath): single reused buffer, not per-candidate
@@ -317,47 +295,33 @@ class CopyDetector {
   /// Rebuilds the Hash-Query index from the active queries.
   Status RebuildIndex();
 
-  /// Processes one completed basic window (dispatches to the pooled or the
-  /// scalar reference path per config().use_pooled_kernels).
+  /// Processes one completed basic window: combines it into the candidate
+  /// structure and tests the candidates. Allocation-free at steady state.
   void ProcessWindow(const stream::BasicWindow& window);
-  /// Scalar reference body of ProcessWindow.
-  void ProcessWindowScalar(const stream::BasicWindow& window);
-  /// Pooled/batched body of ProcessWindow — allocation-free at steady state.
+  /// Body of ProcessWindow for a window that is neither degraded nor
+  /// QoS-skipped: sketch, combine, test.
   void ProcessWindowPooled(const stream::BasicWindow& window);
 
-  /// Builds the fresh single-window Bit candidate for \p window.
-  BitCand MakeBitCand(const stream::BasicWindow& window, const sketch::Sketch& wsk);
-  /// Builds the fresh single-window Sketch candidate.
-  SketchCand MakeSketchCand(const stream::BasicWindow& window,
-                            const sketch::Sketch& wsk);
-
-  /// Merges \p newer into \p older (Bit representation; union-OR of
-  /// signature lists, missing sides treated as all-">" per §V-A).
-  void MergeBit(BitCand& older, const BitCand& newer);
-  /// Merges \p newer into \p older (Sketch representation).
-  void MergeSketch(SketchCand& older, const SketchCand& newer);
-
-  /// Tests a candidate against its related queries, emits matches, applies
-  /// per-query expiry and Lemma-2 pruning. Returns true when the candidate
-  /// still carries any live query state.
-  bool TestBitCand(BitCand& c);
-  bool TestSketchCand(SketchCand& c);
-
-  // --- pooled hot path ---------------------------------------------------
-
   /// Fills recycled shell \p c with the fresh single-window Bit candidate
-  /// (signatures allocated from sig_pool_). Mirror of MakeBitCand.
+  /// (signatures allocated from sig_pool_).
   void InitPooledBitCand(PooledBitCand* c, const stream::BasicWindow& window,
                          const sketch::Sketch& wsk);
-  /// Mirror of MakeSketchCand for the pooled path.
+  /// Fills recycled shell \p c with the fresh single-window Sketch
+  /// candidate (min-hash array allocated from sketch_pool_).
   void InitPooledSketchCand(PooledSketchCand* c,
                             const stream::BasicWindow& window,
                             const sketch::Sketch& wsk);
-  /// Mirror of MergeBit using the OrRange/PruneScan slab kernels.
+  /// Merges \p newer into \p older (Bit representation; union-OR of
+  /// signature lists, missing sides treated as all-">" per §V-A) with the
+  /// OrRange/PruneScan slab kernels.
   void MergePooledBit(PooledBitCand& older, const PooledBitCand& newer);
-  /// Mirror of MergeSketch using the strided CombineMin kernel.
+  /// Merges \p newer into \p older (Sketch representation) with the
+  /// strided CombineMin kernel.
   void MergePooledSketch(PooledSketchCand& older, const PooledSketchCand& newer);
-  /// Mirror of TestBitCand using the NumEqualBatch slab kernel.
+  /// Tests a candidate against its related queries, emits matches, applies
+  /// per-query expiry and Lemma-2 pruning, using the NumEqualBatch slab
+  /// kernel. Returns true when the candidate still carries any live query
+  /// state.
   bool TestPooledBitCand(PooledBitCand& c);
   /// Sequential-order batched test sweep: one NumEqualBatch over the
   /// flattened handles of every live candidate, then the per-candidate
@@ -368,7 +332,8 @@ class CopyDetector {
   /// NumEqual/NumLess counts (c.sigs.size() entries each).
   bool TestPooledBitCandCounted(PooledBitCand& c, const int* eq,
                                 const int* less);
-  /// Mirror of TestSketchCand against sketch_pool_ slots.
+  /// Tests a Sketch candidate (a sketch_pool_ slot) against its related
+  /// queries and emits matches.
   bool TestPooledSketchCand(PooledSketchCand& c);
   /// Clones pooled candidate \p src into retired shell \p dst (fresh pool
   /// slots; used by the geometric suffix sweep).
@@ -411,7 +376,7 @@ class CopyDetector {
   /// Mirrors this window's stats_ deltas into the metrics registry (the
   /// `vcd_detector_*` counter family). One batch of relaxed counter adds
   /// per window — never per merge — to stay inside the hot-path overhead
-  /// budget; allocation-free, preserving the pooled path's zero-alloc
+  /// budget; allocation-free, preserving the window step's zero-alloc
   /// steady-state contract. No-op when config().metrics is null or the
   /// tree is built with VCD_OBS=OFF.
   void PublishWindowMetrics();
@@ -463,13 +428,7 @@ class CopyDetector {
   double max_timestamp_ = 0.0;
   bool saw_frame_ = false;
 
-  // Scalar reference combination structures.
-  stream::SequentialCandidates<BitCand> seq_bit_;
-  stream::SequentialCandidates<SketchCand> seq_sketch_;
-  stream::GeometricCandidates<BitCand> geo_bit_;
-  stream::GeometricCandidates<SketchCand> geo_sketch_;
-
-  // Pooled combination structures and their arenas (hot path).
+  // Combination structures and their arenas.
   stream::SequentialCandidates<PooledBitCand> pseq_bit_;
   stream::SequentialCandidates<PooledSketchCand> pseq_sketch_;
   stream::GeometricCandidates<PooledBitCand> pgeo_bit_;

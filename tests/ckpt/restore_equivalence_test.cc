@@ -13,14 +13,17 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.h"
 #include "ckpt/state_codec.h"
 #include "core/config.h"
+#include "core/detector.h"
 #include "core/monitor.h"
 #include "core/query_store.h"
 #include "parallel/executor.h"
+#include "sketch/kernels/kernels.h"
 #include "util/stats.h"
 #include "video/partial_decoder.h"
 
@@ -293,6 +296,74 @@ TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
   ASSERT_TRUE(exec->CloseStream(*sid).ok());
   ASSERT_TRUE(exec->Drain().ok());
   ExpectSameMatches(serial->matches(), exec->matches());
+}
+
+/// A snapshot holds raw signature words and min-hash arrays, never slab
+/// layout, so it restores onto a detector whose pools run another kernel
+/// ISA. Export mid-copy under one ISA, restore under the other (scalar to
+/// the dispatched best and back), finish the stream: matches and stats must
+/// equal an uninterrupted best-ISA run.
+TEST(KernelIsaRestoreTest, SnapshotRestoresAcrossIsas) {
+  namespace sk = sketch::kernels;
+  const std::string best = sk::ActiveOps().name;
+  const auto qframes = QueryFrames();
+  constexpr int kCut = 33;  // mid-copy: candidates carry live state
+  for (core::Representation rep :
+       {core::Representation::kBit, core::Representation::kSketch}) {
+    for (core::CombinationOrder order :
+         {core::CombinationOrder::kSequential, core::CombinationOrder::kGeometric}) {
+      SCOPED_TRACE(::testing::Message() << core::RepresentationName(rep) << " "
+                                        << core::CombinationOrderName(order));
+      DetectorConfig config = SmallConfig();
+      config.representation = rep;
+      config.order = order;
+      // Pools capture the kernel table at construction.
+      const auto make = [&](const std::string& isa) {
+        EXPECT_TRUE(sk::ForceIsa(isa).ok()) << isa;
+        auto det = core::CopyDetector::Create(config).value();
+        EXPECT_TRUE(det->AddQuery(1, qframes).ok());
+        return det;
+      };
+      const auto feed = [](core::CopyDetector* det, int from, int to) {
+        for (int i = from; i < to; ++i) {
+          ASSERT_TRUE(det->ProcessKeyFrame(TinyFrame(i, FillAt(i))).ok());
+        }
+      };
+
+      auto uninterrupted = make(best);
+      feed(uninterrupted.get(), 0, kTotalFrames);
+      ASSERT_TRUE(uninterrupted->Finish().ok());
+      const std::vector<core::Match>& want = uninterrupted->matches();
+      ASSERT_FALSE(want.empty()) << "scenario must actually match";
+
+      for (const auto& [from, to] : {std::pair<std::string, std::string>{"scalar", best},
+                                     std::pair<std::string, std::string>{best, "scalar"}}) {
+        SCOPED_TRACE(from + " -> " + to);
+        auto first = make(from);
+        feed(first.get(), 0, kCut);
+        const core::DetectorCkptState snapshot = first->ExportCkptState();
+        ASSERT_FALSE(snapshot.candidates.empty());
+        auto resumed = make(to);
+        const Status st = resumed->RestoreCkptState(snapshot);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        feed(resumed.get(), kCut, kTotalFrames);
+        ASSERT_TRUE(resumed->Finish().ok());
+        const std::vector<core::Match>& got = resumed->matches();
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          // Field by field: Match has padding, so raw bytes may differ.
+          EXPECT_EQ(got[i].query_id, want[i].query_id) << i;
+          EXPECT_EQ(got[i].start_frame, want[i].start_frame) << i;
+          EXPECT_EQ(got[i].end_frame, want[i].end_frame) << i;
+          EXPECT_EQ(got[i].start_time, want[i].start_time) << i;
+          EXPECT_EQ(got[i].end_time, want[i].end_time) << i;
+          EXPECT_EQ(got[i].similarity, want[i].similarity) << i;
+        }
+        ExpectSameStats(uninterrupted->stats(), resumed->stats());
+      }
+    }
+  }
+  ASSERT_TRUE(sk::ForceIsa(best).ok());
 }
 
 // Cut points: before the copy, mid-copy (candidates live), right at the

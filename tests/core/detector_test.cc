@@ -313,55 +313,51 @@ TEST(CopyDetectorTest, RemovingLongestQueryMidStreamKeepsStateValid) {
   // of a snapshot taken right after the removal.
   for (auto order : {CombinationOrder::kGeometric, CombinationOrder::kSequential}) {
     for (auto rep : {Representation::kBit, Representation::kSketch}) {
-      for (bool pooled : {true, false}) {
-        SCOPED_TRACE(::testing::Message()
-                     << CombinationOrderName(order) << " " << RepresentationName(rep)
-                     << " pooled=" << pooled);
-        DetectorConfig c = SmallConfig();
-        c.order = order;
-        c.representation = rep;
-        c.use_pooled_kernels = pooled;
-        c.validate_state = true;
-        World w;
-        const std::vector<CellId> long_q = w.RandomContent(40, 0, 1000);
-        const std::vector<CellId> short_q = w.RandomContent(20, 0, 1000);
-        const std::vector<CellId> before = w.RandomContent(170, 0, 1000);
-        // Query 2 plays at windows 24-25, a ladder block of its own.
-        std::vector<CellId> after = w.RandomContent(70, 0, 1000);
-        after.insert(after.end(), short_q.begin(), short_q.end());
-        const std::vector<CellId> tail = w.RandomContent(60, 0, 1000);
-        after.insert(after.end(), tail.begin(), tail.end());
+      SCOPED_TRACE(::testing::Message()
+                   << CombinationOrderName(order) << " " << RepresentationName(rep));
+      DetectorConfig c = SmallConfig();
+      c.order = order;
+      c.representation = rep;
+      c.validate_state = true;
+      World w;
+      const std::vector<CellId> long_q = w.RandomContent(40, 0, 1000);
+      const std::vector<CellId> short_q = w.RandomContent(20, 0, 1000);
+      const std::vector<CellId> before = w.RandomContent(170, 0, 1000);
+      // Query 2 plays at windows 24-25, a ladder block of its own.
+      std::vector<CellId> after = w.RandomContent(70, 0, 1000);
+      after.insert(after.end(), short_q.begin(), short_q.end());
+      const std::vector<CellId> tail = w.RandomContent(60, 0, 1000);
+      after.insert(after.end(), tail.begin(), tail.end());
 
-        auto det = CopyDetector::Create(c).value();
-        ASSERT_TRUE(det->AddQueryCells(1, long_q, 64.0).ok());
-        ASSERT_TRUE(det->AddQueryCells(2, short_q, 12.0).ok());
-        ASSERT_TRUE(World::Feed(det.get(), before, 0).ok());
-        ASSERT_EQ(det->stats().windows, 16);
-        ASSERT_TRUE(det->RemoveQuery(1).ok());
-        EXPECT_TRUE(det->ValidateState().ok()) << det->ValidateState().ToString();
-        const DetectorCkptState snapshot = det->ExportCkptState();
+      auto det = CopyDetector::Create(c).value();
+      ASSERT_TRUE(det->AddQueryCells(1, long_q, 64.0).ok());
+      ASSERT_TRUE(det->AddQueryCells(2, short_q, 12.0).ok());
+      ASSERT_TRUE(World::Feed(det.get(), before, 0).ok());
+      ASSERT_EQ(det->stats().windows, 16);
+      ASSERT_TRUE(det->RemoveQuery(1).ok());
+      EXPECT_TRUE(det->ValidateState().ok()) << det->ValidateState().ToString();
+      const DetectorCkptState snapshot = det->ExportCkptState();
 
-        auto restored = CopyDetector::Create(c).value();
-        ASSERT_TRUE(restored->AddQueryCells(2, short_q, 12.0).ok());
-        const Status st = restored->RestoreCkptState(snapshot);
-        ASSERT_TRUE(st.ok()) << st.ToString();
+      auto restored = CopyDetector::Create(c).value();
+      ASSERT_TRUE(restored->AddQueryCells(2, short_q, 12.0).ok());
+      const Status st = restored->RestoreCkptState(snapshot);
+      ASSERT_TRUE(st.ok()) << st.ToString();
 
-        const auto at = static_cast<int64_t>(before.size());
-        ASSERT_TRUE(World::Feed(det.get(), after, at).ok());
-        ASSERT_TRUE(World::Feed(restored.get(), after, at).ok());
-        ASSERT_TRUE(det->Finish().ok());
-        ASSERT_TRUE(restored->Finish().ok());
-        EXPECT_TRUE(det->ValidateState().ok());
-        EXPECT_TRUE(restored->ValidateState().ok());
-        EXPECT_FALSE(det->matches().empty());
-        ASSERT_EQ(det->matches().size(), restored->matches().size());
-        for (size_t i = 0; i < det->matches().size(); ++i) {
-          EXPECT_EQ(det->matches()[i].query_id, restored->matches()[i].query_id);
-          EXPECT_EQ(det->matches()[i].end_frame, restored->matches()[i].end_frame);
-          EXPECT_EQ(det->matches()[i].similarity, restored->matches()[i].similarity);
-        }
-        EXPECT_EQ(det->stats().windows, restored->stats().windows);
+      const auto at = static_cast<int64_t>(before.size());
+      ASSERT_TRUE(World::Feed(det.get(), after, at).ok());
+      ASSERT_TRUE(World::Feed(restored.get(), after, at).ok());
+      ASSERT_TRUE(det->Finish().ok());
+      ASSERT_TRUE(restored->Finish().ok());
+      EXPECT_TRUE(det->ValidateState().ok());
+      EXPECT_TRUE(restored->ValidateState().ok());
+      EXPECT_FALSE(det->matches().empty());
+      ASSERT_EQ(det->matches().size(), restored->matches().size());
+      for (size_t i = 0; i < det->matches().size(); ++i) {
+        EXPECT_EQ(det->matches()[i].query_id, restored->matches()[i].query_id);
+        EXPECT_EQ(det->matches()[i].end_frame, restored->matches()[i].end_frame);
+        EXPECT_EQ(det->matches()[i].similarity, restored->matches()[i].similarity);
       }
+      EXPECT_EQ(det->stats().windows, restored->stats().windows);
     }
   }
 }
@@ -556,6 +552,51 @@ TEST(CopyDetectorTest, GeometricSketchTracksMemory) {
   EXPECT_GT(det->stats().candidates_per_window.count(), 0);
   // A binary-counter ladder holds at most ~log2(max windows) + 1 blocks.
   EXPECT_LE(det->stats().candidates_per_window.max(), 5.0);
+}
+
+/// Regression: RemoveQuery then AddQuery with the same id must route new
+/// matches to the re-added record via the id→ordinal map (the old nested
+/// linear scan found the first — stale — record).
+TEST(QueryIdReuseTest, ReaddedIdMatchesNewContentOnly) {
+  DetectorConfig config;
+  config.K = 128;
+  config.window_seconds = 4.0;  // 10 key frames per window
+  config.delta = 0.65;
+  config.validate_state = true;
+  World w;
+  w.rng = Rng(77);
+  const std::vector<CellId> old_content = w.RandomContent(40, 0, 1000);
+  const std::vector<CellId> new_content = w.RandomContent(40, 1000, 2000);
+
+  auto det = CopyDetector::Create(config).value();
+  ASSERT_TRUE(det->AddQueryCells(7, old_content, 16.0).ok());
+  ASSERT_TRUE(det->RemoveQuery(7).ok());
+  ASSERT_TRUE(det->AddQueryCells(7, new_content, 16.0).ok());
+  // Duplicate add of a live id must still be rejected.
+  EXPECT_EQ(det->AddQueryCells(7, old_content, 16.0).code(),
+            StatusCode::kAlreadyExists);
+
+  int64_t slot = 0;
+  const auto feed = [&](const std::vector<CellId>& ids) {
+    ASSERT_TRUE(World::Feed(det.get(), ids, slot).ok());
+    slot += static_cast<int64_t>(ids.size());
+  };
+  feed(w.RandomContent(30, 5000, 9000));
+  feed(old_content);  // copy of the *removed* subscription: must not match
+  feed(w.RandomContent(30, 5000, 9000));
+  const int64_t new_copy_start = slot * 12;
+  feed(new_content);  // copy of the re-added subscription: must match
+  feed(w.RandomContent(30, 5000, 9000));
+  ASSERT_TRUE(det->Finish().ok());
+
+  bool matched_new = false;
+  for (const Match& m : det->matches()) {
+    EXPECT_EQ(m.query_id, 7);
+    EXPECT_GE(m.end_frame, new_copy_start)
+        << "match attributed to the removed subscription's content";
+    matched_new = true;
+  }
+  EXPECT_TRUE(matched_new);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 ///
 /// Two seeded `workload::Dataset` VS2 streams (shared-vocabulary and
 /// distinct-content regimes) run through the Hash-Query-indexed detector in
-/// all 16 configurations (Bit/Sketch × Sequential/Geometric × pooled/scalar
-/// × pruning on/off), with one RemoveQuery + AddQuerySketch every 40 key
-/// frames that cycles removed ids back in. Every Match field (doubles at
+/// all 8 configurations (Bit/Sketch × Sequential/Geometric × pruning
+/// on/off), with one RemoveQuery + AddQuerySketch every 40 key frames that
+/// cycles removed ids back in. Every Match field (doubles at
 /// %.17g) and every DetectorStats counter is compared line by line with
 /// tests/data/index_golden.txt. Every run has `validate_state` on, so
 /// ValidateState also sweeps each window through the churn.
@@ -149,20 +149,16 @@ std::string RenderAll() {
     const std::vector<QueryTuple> queries = sketcher->ExportQueries();
     for (auto rep : {Representation::kBit, Representation::kSketch}) {
       for (auto order : {CombinationOrder::kSequential, CombinationOrder::kGeometric}) {
-        for (bool pooled : {true, false}) {
-          for (bool pruning : {true, false}) {
-            DetectorConfig c;
-            c.representation = rep;
-            c.order = order;
-            c.use_pooled_kernels = pooled;
-            c.enable_pruning = pruning;
-            c.validate_state = true;
-            out += Format("config regime=%s rep=%s order=%s pooled=%d pruning=%d\n",
-                          distinct ? "distinct" : "shared", RepresentationName(rep),
-                          CombinationOrderName(order), pooled ? 1 : 0,
-                          pruning ? 1 : 0);
-            out += RunConfig(c, queries, stream);
-          }
+        for (bool pruning : {true, false}) {
+          DetectorConfig c;
+          c.representation = rep;
+          c.order = order;
+          c.enable_pruning = pruning;
+          c.validate_state = true;
+          out += Format("config regime=%s rep=%s order=%s pruning=%d\n",
+                        distinct ? "distinct" : "shared", RepresentationName(rep),
+                        CombinationOrderName(order), pruning ? 1 : 0);
+          out += RunConfig(c, queries, stream);
         }
       }
     }

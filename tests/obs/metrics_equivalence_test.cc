@@ -1,9 +1,9 @@
 /// \file metrics_equivalence_test.cc
-/// The pooled and scalar hot paths must publish identical *semantic*
-/// counters (windows, builds, ORs, prune hits/misses, combines, compares,
-/// candidate admissions/expiries, matches) over identical schedules — the
-/// observability analogue of the pooled byte-equivalence contract. Timing
-/// histograms are excluded: only wall-clock differs between the paths.
+/// The detector's *semantic* counters (windows, builds, ORs, prune
+/// hits/misses, combines, compares, candidate admissions/expiries, matches)
+/// must mirror DetectorStats and stay pinned to recorded values over a fixed
+/// schedule — the observability analogue of the detector golden test. Timing
+/// histograms are excluded: only wall-clock varies between runs.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "core/detector.h"
 #include "obs/metrics.h"
+#include "qos/qos.h"
 #include "obs/span.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -33,6 +34,34 @@ std::vector<CellId> RandomContent(Rng* rng, size_t n, uint32_t lo, uint32_t hi) 
   return out;
 }
 
+DetectorConfig SmallConfig() {
+  DetectorConfig c;
+  c.K = 128;
+  c.window_seconds = 4.0;
+  c.delta = 0.65;
+  return c;
+}
+
+/// Every counter series of \p registry as name → value.
+std::map<std::string, int64_t> Counters(const obs::MetricsRegistry& registry) {
+  std::map<std::string, int64_t> counters;
+  for (const obs::MetricSnapshot& s : registry.Collect()) {
+    if (s.type == obs::MetricType::kCounter) counters[s.name] = s.value;
+  }
+  return counters;
+}
+
+/// Feeds \p ids as consecutive key frames from key-frame slot \p *slot on.
+void Feed(CopyDetector* det, const std::vector<CellId>& ids, int64_t* slot) {
+  for (CellId id : ids) {
+    VCD_CHECK(det->ProcessFingerprint(*slot * 12,
+                                      static_cast<double>(*slot) / kKeyFps, id)
+                  .ok(),
+              "feed");
+    ++*slot;
+  }
+}
+
 /// Runs one fixed schedule with \p config publishing into a private
 /// registry, and returns every counter series as name → value.
 std::map<std::string, int64_t> RunAndCollect(DetectorConfig config) {
@@ -47,27 +76,13 @@ std::map<std::string, int64_t> RunAndCollect(DetectorConfig config) {
   VCD_CHECK(det->AddQueryCells(2, query2, 12.0).ok(), "add q2");
 
   int64_t slot = 0;
-  const auto feed = [&](const std::vector<CellId>& ids) {
-    for (CellId id : ids) {
-      VCD_CHECK(det->ProcessFingerprint(slot * 12,
-                                        static_cast<double>(slot) / kKeyFps, id)
-                    .ok(),
-                "feed");
-      ++slot;
-    }
-  };
-  feed(RandomContent(&rng, 50, 5000, 9000));
-  feed(query1);  // embedded copy
-  feed(RandomContent(&rng, 25, 5000, 9000));
-  feed(query2);  // second copy
-  feed(RandomContent(&rng, 30, 5000, 9000));
+  Feed(det.get(), RandomContent(&rng, 50, 5000, 9000), &slot);
+  Feed(det.get(), query1, &slot);  // embedded copy
+  Feed(det.get(), RandomContent(&rng, 25, 5000, 9000), &slot);
+  Feed(det.get(), query2, &slot);  // second copy
+  Feed(det.get(), RandomContent(&rng, 30, 5000, 9000), &slot);
   VCD_CHECK(det->Finish().ok(), "finish");
-
-  std::map<std::string, int64_t> counters;
-  for (const obs::MetricSnapshot& s : registry.Collect()) {
-    if (s.type == obs::MetricType::kCounter) counters[s.name] = s.value;
-  }
-  return counters;
+  return Counters(registry);
 }
 
 class MetricsEquivalenceTest : public ::testing::Test {
@@ -80,26 +95,42 @@ class MetricsEquivalenceTest : public ::testing::Test {
 };
 
 TEST_F(MetricsEquivalenceTest, PooledAndScalarPublishIdenticalCounters) {
+  // Recorded while the detector still ran a scalar per-object engine beside
+  // the pooled one: both engines published exactly these maps.
+  const std::map<std::string, int64_t> bit = {
+      {"vcd_detector_bitsig_builds_total", 8},
+      {"vcd_detector_bitsig_ors_total", 18},
+      {"vcd_detector_candidates_admitted_total", 18},
+      {"vcd_detector_candidates_expired_total", 15},
+      {"vcd_detector_degraded_windows_total", 0},
+      {"vcd_detector_matches_total", 2},
+      {"vcd_detector_prune_hits_total", 0},
+      {"vcd_detector_prune_misses_total", 26},
+      {"vcd_detector_qos_skipped_windows_total", 0},
+      {"vcd_detector_sketch_combines_total", 0},
+      {"vcd_detector_sketch_compares_total", 0},
+      {"vcd_detector_windows_total", 18},
+  };
+  const std::map<std::string, int64_t> sketch = {
+      {"vcd_detector_bitsig_builds_total", 0},
+      {"vcd_detector_bitsig_ors_total", 0},
+      {"vcd_detector_candidates_admitted_total", 18},
+      {"vcd_detector_candidates_expired_total", 10},
+      {"vcd_detector_degraded_windows_total", 0},
+      {"vcd_detector_matches_total", 2},
+      {"vcd_detector_prune_hits_total", 0},
+      {"vcd_detector_prune_misses_total", 0},
+      {"vcd_detector_qos_skipped_windows_total", 0},
+      {"vcd_detector_sketch_combines_total", 108},
+      {"vcd_detector_sketch_compares_total", 93},
+      {"vcd_detector_windows_total", 18},
+  };
   for (const Representation rep : {Representation::kBit, Representation::kSketch}) {
-    DetectorConfig config;
-    config.K = 128;
-    config.window_seconds = 4.0;
-    config.delta = 0.65;
+    DetectorConfig config = SmallConfig();
     config.representation = rep;
-
-    config.use_pooled_kernels = false;
-    const std::map<std::string, int64_t> scalar = RunAndCollect(config);
-    config.use_pooled_kernels = true;
-    const std::map<std::string, int64_t> pooled = RunAndCollect(config);
-
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_GT(scalar.at("vcd_detector_windows_total"), 0);
-    EXPECT_GT(scalar.at("vcd_detector_matches_total"), 0)
-        << "schedule must produce matches for the comparison to bite";
     // Whole-map comparison: same series names AND same values.
-    EXPECT_EQ(pooled, scalar)
-        << "pooled vs scalar counter divergence (representation "
-        << static_cast<int>(rep) << ")";
+    EXPECT_EQ(RunAndCollect(config), rep == Representation::kBit ? bit : sketch)
+        << "counter divergence (representation " << RepresentationName(rep) << ")";
   }
 }
 
@@ -107,10 +138,7 @@ TEST_F(MetricsEquivalenceTest, CountersMirrorDetectorStats) {
   // The registry series are per-window delta publications of DetectorStats;
   // after Finish they must agree exactly with the struct the detector
   // reports, for every stat that has a series.
-  DetectorConfig config;
-  config.K = 128;
-  config.window_seconds = 4.0;
-  config.delta = 0.65;
+  DetectorConfig config = SmallConfig();
   obs::MetricsRegistry registry;
   config.metrics = &registry;
   Rng rng(7);
@@ -118,24 +146,11 @@ TEST_F(MetricsEquivalenceTest, CountersMirrorDetectorStats) {
   auto det = CopyDetector::Create(config).value();
   ASSERT_TRUE(det->AddQueryCells(1, query, 16.0).ok());
   int64_t slot = 0;
-  for (CellId id : RandomContent(&rng, 60, 5000, 9000)) {
-    ASSERT_TRUE(det->ProcessFingerprint(slot * 12,
-                                        static_cast<double>(slot) / kKeyFps, id)
-                    .ok());
-    ++slot;
-  }
-  for (CellId id : query) {
-    ASSERT_TRUE(det->ProcessFingerprint(slot * 12,
-                                        static_cast<double>(slot) / kKeyFps, id)
-                    .ok());
-    ++slot;
-  }
+  Feed(det.get(), RandomContent(&rng, 60, 5000, 9000), &slot);
+  Feed(det.get(), query, &slot);
   ASSERT_TRUE(det->Finish().ok());
 
-  std::map<std::string, int64_t> counters;
-  for (const obs::MetricSnapshot& s : registry.Collect()) {
-    if (s.type == obs::MetricType::kCounter) counters[s.name] = s.value;
-  }
+  const std::map<std::string, int64_t> counters = Counters(registry);
   const DetectorStats& st = det->stats();
   EXPECT_EQ(counters.at("vcd_detector_windows_total"), st.windows);
   EXPECT_EQ(counters.at("vcd_detector_degraded_windows_total"),
@@ -153,6 +168,46 @@ TEST_F(MetricsEquivalenceTest, CountersMirrorDetectorStats) {
   // or is still live at Finish.
   EXPECT_GE(counters.at("vcd_detector_candidates_admitted_total"),
             counters.at("vcd_detector_candidates_expired_total"));
+}
+
+TEST_F(MetricsEquivalenceTest, RestoreSeedsQosSkippedCounter) {
+  // A restored detector publishes post-restore activity only. Five windows
+  // with every second one QoS-skipped (windows 1 and 3), a restore into a
+  // fresh registry with identity knobs, then one more window: that window
+  // must not republish the two pre-restore skips, and — not skipped — it
+  // admits its fresh candidate.
+  DetectorConfig config = SmallConfig();
+  Rng rng(11);
+  const std::vector<CellId> query = RandomContent(&rng, 40, 0, 1000);
+  const std::vector<CellId> stream = RandomContent(&rng, 61, 5000, 9000);
+  const std::vector<CellId> head(stream.begin(), stream.begin() + 51);
+  const std::vector<CellId> tail(stream.begin() + 51, stream.end());
+
+  obs::MetricsRegistry first_registry;
+  config.metrics = &first_registry;
+  auto first = CopyDetector::Create(config).value();
+  ASSERT_TRUE(first->AddQueryCells(1, query, 16.0).ok());
+  qos::DegradeKnobs knobs;
+  knobs.probe_every_n = 2;
+  first->SetDegrade(knobs);
+  int64_t slot = 0;
+  Feed(first.get(), head, &slot);  // slot 50 closes window 4
+  ASSERT_EQ(first->stats().windows, 5);
+  ASSERT_EQ(first->stats().qos_skipped_windows, 2);
+  const DetectorCkptState snapshot = first->ExportCkptState();
+
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  auto restored = CopyDetector::Create(config).value();
+  ASSERT_TRUE(restored->AddQueryCells(1, query, 16.0).ok());
+  ASSERT_TRUE(restored->RestoreCkptState(snapshot).ok());
+  Feed(restored.get(), tail, &slot);  // slot 60 closes window 5
+  ASSERT_EQ(restored->stats().windows, 6);
+
+  const std::map<std::string, int64_t> counters = Counters(registry);
+  EXPECT_EQ(counters.at("vcd_detector_windows_total"), 1);
+  EXPECT_EQ(counters.at("vcd_detector_qos_skipped_windows_total"), 0);
+  EXPECT_EQ(counters.at("vcd_detector_candidates_admitted_total"), 1);
 }
 
 }  // namespace

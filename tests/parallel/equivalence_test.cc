@@ -179,11 +179,6 @@ RunLog SerialRun() {
   return RunSchedule(*mon, [] {});
 }
 
-RunLog SerialRunWith(const DetectorConfig& config) {
-  auto mon = StreamMonitor::Create(config).value();
-  return RunSchedule(*mon, [] {});
-}
-
 RunLog ParallelRun(int threads) {
   core::ParallelConfig pc;
   pc.num_threads = threads;
@@ -215,34 +210,6 @@ TEST_P(EquivalenceTest, ParallelMatchesSerialByteExactly) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, EquivalenceTest,
                          ::testing::Values(1, 2, 4, 8));
-
-/// The pooled hot path must be byte-equivalent to the scalar reference under
-/// the full multi-stream schedule (including mid-schedule portfolio churn),
-/// for both representations and both combination orders.
-TEST(EquivalenceTest, PooledMatchesScalarUnderFullSchedule) {
-  for (core::Representation rep :
-       {core::Representation::kBit, core::Representation::kSketch}) {
-    for (core::CombinationOrder order : {core::CombinationOrder::kSequential,
-                                         core::CombinationOrder::kGeometric}) {
-      DetectorConfig config = SmallConfig();
-      config.representation = rep;
-      config.order = order;
-      config.validate_state = true;
-      config.use_pooled_kernels = false;
-      const RunLog scalar = SerialRunWith(config);
-      config.use_pooled_kernels = true;
-      const RunLog pooled = SerialRunWith(config);
-      EXPECT_EQ(pooled.arrival_order, scalar.arrival_order);
-      EXPECT_EQ(pooled.per_stream, scalar.per_stream);
-      ASSERT_EQ(pooled.stats.size(), scalar.stats.size());
-      for (const auto& [name, key] : scalar.stats) {
-        ASSERT_TRUE(pooled.stats.count(name)) << name;
-        EXPECT_TRUE(pooled.stats.at(name) == key)
-            << "detector stats differ on " << name;
-      }
-    }
-  }
-}
 
 /// Determinism across repeated parallel runs at the same thread count — the
 /// merge must not leak scheduling nondeterminism into the result.

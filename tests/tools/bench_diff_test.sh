@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pins tools/bench_diff.py's contract: a self-compare passes, a doctored
-# windows/sec regression fails with exit 1 (both absolute and --ratio
-# modes), a lost pooled_alloc_free meta fails even when every rate improved,
-# and malformed invocations exit 2.
+# best-ISA windows/sec regression fails with exit 1 (both absolute and
+# --ratio modes), a slowdown on both ISAs fails only the absolute mode, a
+# lost pooled_alloc_free meta fails even when every rate improved, and
+# malformed invocations exit 2.
 #
 # Usage: bench_diff_test.sh <path-to-bench_diff.py> <baseline-json>
 set -u
@@ -30,22 +31,35 @@ check_rc() {
 check_rc "self-compare absolute" 0 "$BASELINE" "$BASELINE"
 check_rc "self-compare ratio" 0 "$BASELINE" "$BASELINE" --ratio
 
-# Doctor a 50% windows/sec drop into every pooled row: fails the default
-# 10% absolute gate and the ratio gate (scalar rows untouched, so the
-# pooled/scalar speedup halves too).
+# Doctor a 50% windows/sec drop into every best-ISA row: fails the default
+# 10% absolute gate and the ratio gate (scalar-ISA rows untouched, so the
+# best/scalar speedup halves too).
 "$PY" - "$BASELINE" "$TMP/slow.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 for row in doc["rows"]:
-    if row.get("pooled"):
+    if row.get("isa") != "scalar":
         row["windows_per_sec"] *= 0.5
 json.dump(doc, open(sys.argv[2], "w"))
 EOF
-check_rc "pooled 2x slowdown, absolute" 1 "$BASELINE" "$TMP/slow.json"
-check_rc "pooled 2x slowdown, ratio" 1 "$BASELINE" "$TMP/slow.json" --ratio
+check_rc "best-ISA 2x slowdown, absolute" 1 "$BASELINE" "$TMP/slow.json"
+check_rc "best-ISA 2x slowdown, ratio" 1 "$BASELINE" "$TMP/slow.json" --ratio
 # A loose-enough threshold must tolerate the same drop.
 check_rc "slowdown within threshold" 0 "$BASELINE" "$TMP/slow.json" \
   --ratio --max-regress=0.75
+
+# A slowdown that hits both ISAs alike leaves the ratio unchanged: only the
+# absolute (same-machine) mode sees it.
+"$PY" - "$BASELINE" "$TMP/bothslow.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for row in doc["rows"]:
+    row["windows_per_sec"] *= 0.5
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+check_rc "both-ISA 2x slowdown, absolute" 1 "$BASELINE" "$TMP/bothslow.json"
+check_rc "both-ISA 2x slowdown, ratio (blind)" 0 "$BASELINE" \
+  "$TMP/bothslow.json" --ratio
 
 # Losing the zero-allocation contract fails even with better numbers.
 "$PY" - "$BASELINE" "$TMP/leaky.json" <<'EOF'

@@ -4,26 +4,32 @@
 Usage:
   bench_diff.py BASELINE.json CURRENT.json [--max-regress FRAC] [--ratio]
 
-Rows are matched on (order, representation, K, pooled) and compared by
-windows_per_sec. Two modes:
+Rows are matched on (order, representation, K, isa) and compared by
+windows_per_sec. bench_hotpath runs every configuration on the scalar kernel
+ISA and on the dispatched (best) ISA, recorded in each row's "isa". Two
+modes:
 
   absolute (default)  every matched row's windows/sec must be at least
                       (1 - FRAC) x the baseline row. Meaningful only when
                       both documents come from the same machine — use for
                       local before/after runs.
 
-  --ratio             compares the pooled/scalar windows-per-sec ratio per
-                      (order, representation, K) instead of raw rates. The
-                      ratio divides out absolute machine speed, so this is
-                      the mode CI uses against the checked-in baseline
-                      (tests/data/hotpath_baseline.json), which was
-                      recorded on different hardware.
+  --ratio             compares the best-ISA/scalar-ISA windows-per-sec
+                      ratio per (order, representation, K) instead of raw
+                      rates. Both rows run the same code path on the same
+                      host, so the ratio divides out absolute machine speed;
+                      this is the mode CI uses against the checked-in
+                      baseline (tests/data/hotpath_baseline.json), which was
+                      recorded on different hardware. A slowdown that hits
+                      both ISAs alike (an algorithmic regression outside the
+                      kernels) leaves the ratio unchanged: only absolute
+                      mode on one machine catches it.
 
 FRAC defaults to 0.10 (a >10% regression fails). Rows present in only one
 document are reported but never fail the diff (new configurations must not
 need a baseline edit to land). The current document's pooled_alloc_free
-meta must be true in both modes — losing the zero-allocation contract is a
-regression regardless of speed.
+meta (every row, both ISAs) must be true in both modes — losing the
+zero-allocation contract is a regression regardless of speed.
 
 checkpoint_pause_ms meta (the steady-state intake pause of one checkpoint
 barrier, export+encode): when the baseline records it, the current document
@@ -61,23 +67,23 @@ def load(path):
     return doc
 
 
-def row_key(row, with_pooled=True):
-    key = (row.get("order"), row.get("representation"), row.get("K"))
-    return key + (row.get("pooled"),) if with_pooled else key
+def row_key(row):
+    return (row.get("order"), row.get("representation"), row.get("K"),
+            row.get("isa"))
 
 
-def by_key(doc, with_pooled=True):
-    return {row_key(r, with_pooled): r for r in doc["rows"]}
+def by_key(doc):
+    return {row_key(r): r for r in doc["rows"]}
 
 
 def ratios(doc):
-    """(order, rep, K) -> pooled windows/sec divided by scalar windows/sec."""
+    """(order, rep, K) -> best-ISA windows/sec divided by scalar-ISA's."""
     out = {}
     rows = by_key(doc)
-    for (order, rep, k, pooled), row in rows.items():
-        if not pooled:
+    for (order, rep, k, isa), row in rows.items():
+        if isa == "scalar":
             continue
-        scalar = rows.get((order, rep, k, False))
+        scalar = rows.get((order, rep, k, "scalar"))
         if scalar and scalar.get("windows_per_sec", 0) > 0:
             out[(order, rep, k)] = (
                 row["windows_per_sec"] / scalar["windows_per_sec"]
@@ -109,7 +115,7 @@ def main(argv):
     base_doc, cur_doc = load(args[0]), load(args[1])
     base_isa = base_doc.get("meta", {}).get("kernel_isa", "?")
     cur_isa = cur_doc.get("meta", {}).get("kernel_isa", "?")
-    mode = "ratio (pooled/scalar)" if ratio_mode else "absolute windows/sec"
+    mode = "ratio (best ISA/scalar ISA)" if ratio_mode else "absolute windows/sec"
     print(f"bench_diff: {mode}, max regression {max_regress:.0%}")
     print(f"  baseline: {args[0]} (kernel {base_isa})")
     print(f"  current:  {args[1]} (kernel {cur_isa})")
@@ -148,10 +154,9 @@ def main(argv):
             if c < b * (1.0 - max_regress):
                 status = "REGRESSION"
                 failed.append(key)
-            order, rep, k, pooled = key
-            path = "pooled" if pooled else "scalar"
+            order, rep, k, isa = key
             print(
-                f"  {status:>10}  {order}-{rep} K={k} {path}: "
+                f"  {status:>10}  {order}-{rep} K={k} {isa}: "
                 f"{b:.0f} -> {c:.0f} w/s ({change:+.1%})"
             )
         for key in sorted(set(cur) - set(base), key=str):

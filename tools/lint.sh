@@ -89,9 +89,9 @@ run_grep_lint() {
   # new owning signature/sketch objects — candidate state lives in
   # SignaturePool/SketchPool slabs and is referenced by handle. Flags
   # `new BitSignature` and by-value BitSignature/Sketch declarations;
-  # legitimate owners (per-query records, reused scratch buffers, the
-  # scalar reference path) carry `NOLINT(vcd-pooled-hotpath)` with a reason
-  # on the same or preceding line.
+  # legitimate owners (per-query records, reused scratch buffers, cold
+  # restore code) carry `NOLINT(vcd-pooled-hotpath)` with a reason on the
+  # same or preceding line.
   bad=$(grep -nE '(sketch::)?(BitSignature|Sketch)[[:space:]]+[A-Za-z_]+[[:space:]]*[;={]|new[[:space:]]+(sketch::)?BitSignature' \
         $(find src/core src/stream -name '*.cc' -o -name '*.h') \
         | grep -vE '//.*(BitSignature|Sketch)' \
