@@ -1,7 +1,7 @@
 /// \file bench_parallel_streams.cc
-/// Throughput of the parallel sharded stream executor vs. the serial
-/// StreamMonitor: frames/sec over S concurrent synthetic streams as a
-/// function of worker-thread count.
+/// Throughput of the parallel sharded stream executor vs. one detector per
+/// stream on the calling thread: frames/sec over S concurrent synthetic
+/// streams as a function of worker-thread count.
 ///
 /// Usage:
 ///   bench_parallel_streams [--streams=8] [--frames=2000] [--k=800]
@@ -14,19 +14,23 @@
 ///
 /// Every configuration processes the *same* precomputed DC-frame streams
 /// (content generation is excluded from the timed region), so the table
-/// isolates executor scaling. The serial row is the StreamMonitor baseline;
-/// speedup is relative to the 1-thread executor row.
+/// isolates executor scaling. The serial row feeds one CopyDetector per
+/// stream on the bench thread in the same round-robin order — the
+/// executor's detection work without the queue hop, so the gap between it
+/// and the 1-thread row is the hop's cost. Speedup is relative to the
+/// 1-thread executor row.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
+#include "core/detector.h"
 #include "parallel/executor.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -145,34 +149,67 @@ struct RunResult {
   size_t queue_high_water = 0;
 };
 
-/// One timed run: subscribe queries, open all streams, feed frames
+void CheckOk(const Status& st, const char* what) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+/// One timed executor run: subscribe queries, open all streams, feed frames
 /// round-robin (the arrival pattern of concurrent live streams), close.
-template <typename Api>
-RunResult Feed(Api& api, const Options& o,
+RunResult Feed(parallel::StreamExecutor& exec, const Options& o,
                const std::vector<std::vector<video::DcFrame>>& streams,
                const std::vector<sketch::Sketch>& queries) {
   RunResult r;
   for (int q = 0; q < o.queries; ++q) {
-    auto st = api.AddQuerySketch(q + 1, queries[static_cast<size_t>(q)], 40, 16.0);
-    if (!st.ok()) {
-      std::fprintf(stderr, "AddQuerySketch: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
+    CheckOk(exec.AddQuerySketch(q + 1, queries[static_cast<size_t>(q)], 40, 16.0),
+            "AddQuerySketch");
   }
   std::vector<int> ids;
   for (int s = 0; s < o.streams; ++s) {
-    ids.push_back(api.OpenStream("stream-" + std::to_string(s)).value());
+    ids.push_back(exec.OpenStream("stream-" + std::to_string(s)).value());
   }
   Stopwatch sw;
   for (int i = 0; i < o.frames; ++i) {
     for (int s = 0; s < o.streams; ++s) {
-      (void)api.ProcessKeyFrame(ids[static_cast<size_t>(s)],
-                                streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
+      (void)exec.ProcessKeyFrame(ids[static_cast<size_t>(s)],
+                                 streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
     }
   }
-  for (int id : ids) (void)api.CloseStream(id);
+  for (int id : ids) (void)exec.CloseStream(id);
   r.seconds = sw.ElapsedSeconds();
-  r.matches = api.matches().size();
+  r.matches = exec.matches().size();
+  return r;
+}
+
+/// The serial row: the same subscriptions and round-robin feed, with one
+/// CopyDetector per stream driven on the calling thread.
+RunResult FeedSerial(const core::DetectorConfig& config, const Options& o,
+                     const std::vector<std::vector<video::DcFrame>>& streams,
+                     const std::vector<sketch::Sketch>& queries) {
+  RunResult r;
+  std::vector<std::unique_ptr<core::CopyDetector>> detectors;
+  for (int s = 0; s < o.streams; ++s) {
+    detectors.push_back(core::CopyDetector::Create(config).value());
+    for (int q = 0; q < o.queries; ++q) {
+      CheckOk(detectors.back()->AddQuerySketch(q + 1, queries[static_cast<size_t>(q)],
+                                               40, 16.0),
+              "AddQuerySketch");
+    }
+  }
+  Stopwatch sw;
+  for (int i = 0; i < o.frames; ++i) {
+    for (int s = 0; s < o.streams; ++s) {
+      (void)detectors[static_cast<size_t>(s)]->ProcessKeyFrame(
+          streams[static_cast<size_t>(s)][static_cast<size_t>(i)]);
+    }
+  }
+  for (auto& det : detectors) {
+    (void)det->Finish();
+    r.matches += det->matches().size();
+  }
+  r.seconds = sw.ElapsedSeconds();
   return r;
 }
 
@@ -199,8 +236,7 @@ int main(int argc, char** argv) {
   json.AddMeta("queries", BenchJsonWriter::Num(int64_t{o.queries}));
   json.AddMeta("seed", BenchJsonWriter::Num(static_cast<int64_t>(o.seed)));
 
-  auto mon = core::StreamMonitor::Create(config).value();
-  const RunResult serial = Feed(*mon, o, streams, queries);
+  const RunResult serial = FeedSerial(config, o, streams, queries);
   table.AddRow({"serial", "-", TablePrinter::Fmt(serial.seconds),
                 TablePrinter::Fmt(total_frames / serial.seconds, 0), "-",
                 std::to_string(serial.matches), "-", "-"});

@@ -102,6 +102,7 @@ class ByteReader {
 
   bool Bytes(void* out, size_t n) {
     if (!Need(n)) return false;
+    if (n == 0) return true;  // out may be null (an empty vector's data())
     std::memcpy(out, p_ + off_, n);
     off_ += n;
     return true;

@@ -6,7 +6,7 @@
 
 #include "ckpt/snapshot.h"
 #include "core/config.h"
-#include "core/monitor.h"
+#include "core/detector.h"
 #include "qos/qos.h"
 #include "util/status.h"
 
@@ -14,11 +14,12 @@
 /// Encoding between the in-memory checkpoint state (core::StreamCkpt et al.)
 /// and the snapshot container's section payloads (docs/FORMATS.md).
 ///
-/// The codec is engine-agnostic: the serial StreamMonitor and the parallel
-/// StreamExecutor both checkpoint through the same SnapshotState — serial
-/// matches simply carry seq = 0 and next_seq = 1. A snapshot taken by one
-/// engine restores onto the other, provided the detector parameters match
-/// (CheckMeta rejects everything else with a typed error).
+/// The codec knows no engine: parallel::StreamExecutor checkpoints through
+/// SnapshotState at any thread count, and a snapshot restores at any other,
+/// provided the detector parameters match (CheckMeta rejects everything
+/// else with a typed error). Snapshots written by the serial engine of
+/// earlier versions carry seq = 0 on every match and next_seq = 1; they
+/// restore onto the executor unchanged.
 
 namespace vcd::ckpt {
 
@@ -37,7 +38,7 @@ struct DriverFileState {
   std::string path;
   int64_t frames_fed = 0;  ///< key frames already consumed by the detector
   bool done = false;       ///< the file was fully fed before the checkpoint
-  int stream_id = 0;       ///< executor/monitor stream carrying this file
+  int stream_id = 0;       ///< executor stream carrying this file
 };
 
 /// \brief Everything one snapshot carries, decoded.

@@ -35,17 +35,55 @@ Result<std::unique_ptr<CopyDetector>> CopyDetector::Create(const DetectorConfig&
   return det;
 }
 
+namespace {
+
+/// A query's playback length L inferred from its (non-empty) key-frame
+/// timestamps: the span plus one mean key-frame spacing.
+double InferDuration(const DetectorConfig& config,
+                     const std::vector<vcd::video::DcFrame>& key_frames) {
+  const double span = key_frames.back().timestamp - key_frames.front().timestamp;
+  const double spacing = key_frames.size() > 1
+                             ? span / static_cast<double>(key_frames.size() - 1)
+                             : config.window_seconds;
+  return span + spacing;
+}
+
+}  // namespace
+
+Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
+                                   const std::vector<vcd::video::DcFrame>& key_frames,
+                                   double duration_seconds) {
+  if (key_frames.empty()) return Status::InvalidArgument("query has no key frames");
+  auto fp = features::FrameFingerprinter::Create(config.fingerprint);
+  if (!fp.ok()) return fp.status();
+  auto family = sketch::MinHashFamily::Create(config.K, config.hash_seed);
+  if (!family.ok()) return family.status();
+  sketch::Sketcher sketcher(&family.value());
+  const auto cells = fp->FingerprintSequence(key_frames);
+  PreparedQuery q;
+  q.length_frames = static_cast<int>(cells.size());
+  q.duration_seconds =
+      duration_seconds <= 0 ? InferDuration(config, key_frames) : duration_seconds;
+  q.sketch = sketcher.FromSequence(cells);
+  return q;
+}
+
+Status ValidateQuerySketch(const DetectorConfig& config, const sketch::Sketch& sk,
+                           int length_frames, double duration_seconds) {
+  if (sk.K() != config.K) {
+    return Status::InvalidArgument("sketch K does not match detector config");
+  }
+  if (length_frames < 1) return Status::InvalidArgument("query has no frames");
+  if (!(duration_seconds > 0)) {
+    return Status::InvalidArgument("query duration must be positive");
+  }
+  return Status::OK();
+}
+
 Status CopyDetector::AddQuery(int id, const std::vector<vcd::video::DcFrame>& key_frames,
                               double duration_seconds) {
   if (key_frames.empty()) return Status::InvalidArgument("query has no key frames");
-  if (duration_seconds <= 0) {
-    const double span =
-        key_frames.back().timestamp - key_frames.front().timestamp;
-    const double spacing = key_frames.size() > 1
-                               ? span / static_cast<double>(key_frames.size() - 1)
-                               : config_.window_seconds;
-    duration_seconds = span + spacing;
-  }
+  if (duration_seconds <= 0) duration_seconds = InferDuration(config_, key_frames);
   return AddQueryCells(id, fingerprinter_->FingerprintSequence(key_frames),
                        duration_seconds);
 }
@@ -59,13 +97,7 @@ Status CopyDetector::AddQueryCells(int id, std::vector<features::CellId> ids,
 
 Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames,
                                     double duration_seconds) {
-  if (sk.K() != config_.K) {
-    return Status::InvalidArgument("sketch K does not match detector config");
-  }
-  if (length_frames < 1) return Status::InvalidArgument("query has no frames");
-  if (duration_seconds <= 0) {
-    return Status::InvalidArgument("query duration must be positive");
-  }
+  VCD_RETURN_IF_ERROR(ValidateQuerySketch(config_, sk, length_frames, duration_seconds));
   if (id_to_ordinal_.count(id) != 0) {
     return Status::AlreadyExists("query id " + std::to_string(id));
   }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <tuple>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -99,6 +100,55 @@ struct DetectorCkptState {
   /// Sequential order: oldest-first. Geometric order: ascending ladder_level.
   std::vector<CkptCandidate> candidates;
 };
+
+/// \brief One monitored stream's full checkpointed state: the executor
+/// shard's health machine plus the stream's detector state (the STREAMS
+/// snapshot section, docs/FORMATS.md).
+struct StreamCkpt {
+  int stream_id = 0;
+  std::string name;
+  uint64_t matches_consumed = 0;
+  /// Health machine (parallel/shard.h): state enum as int, fault/clean
+  /// streaks, and the frame-count backoff "deadlines" — durations relative
+  /// to the snapshot's persisted epoch, so a restored stream resumes its
+  /// readmission countdown exactly where the crash interrupted it.
+  int health = 0;
+  int consecutive_faults = 0;
+  int consecutive_clean = 0;
+  int64_t quarantine_remaining = 0;
+  int64_t backoff_frames = 0;
+  double max_timestamp = 0.0;
+  bool saw_timestamp = false;
+  /// QoS priority class (qos::Priority as int) assigned at registration.
+  /// Defaults to kNormal (1), which is also what snapshots written before
+  /// the field existed restore to.
+  int priority = 1;
+  DetectorCkptState detector;
+};
+
+/// A query prepared for subscription: the sketch of its key-frame cell
+/// sequence plus the derived length/duration — everything a detector's
+/// AddQuerySketch needs.
+struct PreparedQuery {
+  int length_frames = 0;
+  double duration_seconds = 0.0;
+  sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): per-query, cold
+};
+
+/// Fingerprints and sketches \p key_frames under \p config, inferring
+/// \p duration_seconds from the timestamps when it is ≤ 0. Lets a
+/// multi-stream engine sketch a query once and subscribe the identical
+/// sketch on every stream.
+Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
+                                   const std::vector<vcd::video::DcFrame>& key_frames,
+                                   double duration_seconds);
+
+/// The checks CopyDetector::AddQuerySketch applies to a subscription: the
+/// sketch's K equals \p config's, the query has at least one frame and a
+/// positive duration. A multi-stream engine calls it before changing any
+/// state, so a query every stream would refuse never enters its portfolio.
+Status ValidateQuerySketch(const DetectorConfig& config, const sketch::Sketch& sk,
+                           int length_frames, double duration_seconds);
 
 /// \brief Detects copies of subscribed query videos on a key-frame stream.
 ///

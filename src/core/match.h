@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 /// \file match.h
@@ -16,6 +17,13 @@ struct Match {
   double start_time = 0.0;  ///< seconds
   double end_time = 0.0;    ///< seconds
   double similarity = 0.0;  ///< estimated sim at detection time
+};
+
+/// A match attributed to the stream it occurred on.
+struct StreamMatch {
+  int stream_id = 0;
+  std::string stream_name;
+  Match match;
 };
 
 /// \brief Where a query's content was actually inserted into the stream.

@@ -210,9 +210,10 @@ void StreamExecutor::ReapOrphansLocked() {
 Status StreamExecutor::AddQuerySketchLocked(int id, const sketch::Sketch& sk,
                                             int length_frames,
                                             double duration_seconds) {
-  if (sk.K() != config_.K) {
-    return Status::InvalidArgument("sketch K does not match executor config");
-  }
+  // Every stream's detector would refuse an invalid query, poisoning each
+  // later OpenStream; reject it here, before anything changes.
+  VCD_RETURN_IF_ERROR(
+      core::ValidateQuerySketch(config_, sk, length_frames, duration_seconds));
   for (const PortfolioEntry& e : portfolio_) {
     if (e.id == id) return Status::AlreadyExists("query id " + std::to_string(id));
   }
@@ -250,6 +251,17 @@ Status StreamExecutor::ImportQueries(const core::QueryDb& db) {
     return Status::FailedPrecondition("query db hash seed does not match config");
   }
   MutexLock lock(control_mu_);
+  // All or nothing: check every record, against the portfolio and against
+  // each other, before the first one is subscribed.
+  std::set<int> ids;
+  for (const PortfolioEntry& e : portfolio_) ids.insert(e.id);
+  for (const core::StoredQuery& q : db.queries) {
+    VCD_RETURN_IF_ERROR(core::ValidateQuerySketch(config_, q.sketch, q.length_frames,
+                                                  q.duration_seconds));
+    if (!ids.insert(q.id).second) {
+      return Status::AlreadyExists("query id " + std::to_string(q.id));
+    }
+  }
   for (const core::StoredQuery& q : db.queries) {
     VCD_RETURN_IF_ERROR(
         AddQuerySketchLocked(q.id, q.sketch, q.length_frames, q.duration_seconds));

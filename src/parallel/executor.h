@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/monitor.h"
+#include "core/detector.h"
 #include "core/query_store.h"
 #include "obs/pipeline_metrics.h"
 #include "parallel/shard.h"
@@ -19,9 +19,11 @@
 #include "util/thread_annotations.h"
 
 /// \file executor.h
-/// Parallel sharded stream executor — the scale-out form of
-/// `core::StreamMonitor` (the paper's "many concurrent video streams"
-/// deployment picture, §II/§V-C).
+/// Sharded stream executor — the paper's "many concurrent video streams"
+/// deployment picture (§II/§V-C): one query portfolio, many monitored
+/// streams, each with its own `core::CopyDetector`. It is the only
+/// multi-stream engine; a single stream is monitored inline with a bare
+/// `CopyDetector`.
 ///
 /// Open streams are sharded across N worker threads with stable per-stream
 /// affinity (`shard = (stream_id - 1) % N`). Candidate lists are inherently
@@ -32,8 +34,9 @@
 /// Query subscribe/unsubscribe propagates through per-shard command queues:
 /// commands ride the same FIFO as frames, so a portfolio change takes
 /// effect after every frame submitted before it and before every frame
-/// submitted after it — window-boundary-exact, and identical to the serial
-/// monitor's semantics for any single-threaded submission schedule.
+/// submitted after it — window-boundary-exact, and identical to one
+/// detector per stream driven serially for any single-threaded submission
+/// schedule.
 ///
 /// Matches are collected mutex-free on the frame path: each shard's worker
 /// appends to a thread-local log tagged with the frame's global submission
@@ -109,7 +112,7 @@ struct ExecutorCkpt {
   std::vector<qos::GovernorShardCkpt> qos;
 };
 
-/// \brief Worker-pool stream executor: StreamMonitor semantics, N threads.
+/// \brief Worker-pool stream executor: one portfolio, many streams, N threads.
 class StreamExecutor {
  public:
   /// Creates an executor; all streams share \p config, threading per

@@ -187,7 +187,7 @@ void Shard::ProcessFrame(Task& t) {
   auto it = streams_.find(t.stream_id);
   if (it == streams_.end()) {
     // The stream was closed (or never installed) before this frame ran —
-    // the asynchronous analogue of the serial monitor's NotFound.
+    // the asynchronous analogue of a NotFound for an unknown stream.
     metrics_.frames_rejected_total->Inc();
     return;
   }
@@ -305,7 +305,12 @@ void Shard::InstallRestoredStream(const core::StreamCkpt& ckpt,
   slot.consecutive_faults = ckpt.consecutive_faults;
   slot.consecutive_clean = ckpt.consecutive_clean;
   slot.quarantine_remaining = ckpt.quarantine_remaining;
-  slot.backoff_frames = ckpt.backoff_frames;
+  // Clamped into the configured range: snapshots of the serial engine of
+  // earlier versions carry 0 here, and a backoff that only ever doubles
+  // would then stay 0 and every quarantine would last one frame.
+  slot.backoff_frames =
+      std::clamp<int64_t>(ckpt.backoff_frames, config_.quarantine_backoff_frames,
+                          config_.quarantine_backoff_max_frames);
   slot.max_timestamp = ckpt.max_timestamp;
   slot.saw_timestamp = ckpt.saw_timestamp;
   slot.detector->SetDegrade(active_knobs_);

@@ -11,7 +11,6 @@
 
 #include "core/config.h"
 #include "core/detector.h"
-#include "core/monitor.h"
 #include "obs/pipeline_metrics.h"
 #include "parallel/mpsc_queue.h"
 #include "qos/qos.h"
@@ -22,13 +21,13 @@
 /// One shard of the parallel stream executor: a worker thread, its bounded
 /// submission queue, and the detection state of the streams pinned to it.
 ///
-/// Candidate lists are inherently per-stream (core/monitor.h), so shards
-/// share nothing on the frame path: every stream's detector lives on exactly
-/// one shard, and all mutation happens on that shard's worker thread. The
-/// control plane talks to a shard only through commands enqueued into the
-/// same FIFO queue as frames, which is what makes ordering deterministic:
-/// a command takes effect after every frame submitted before it and before
-/// every frame submitted after it — exactly the serial-monitor semantics.
+/// Candidate lists are inherently per-stream, so shards share nothing on
+/// the frame path: every stream's detector lives on exactly one shard, and
+/// all mutation happens on that shard's worker thread. The control plane
+/// talks to a shard only through commands enqueued into the same FIFO queue
+/// as frames, which is what makes ordering deterministic: a command takes
+/// effect after every frame submitted before it and before every frame
+/// submitted after it — as if each stream's detector were driven serially.
 ///
 /// ### Lock discipline
 /// A shard's frame-path synchronization point is the bounded MPSC queue
@@ -197,7 +196,9 @@ class Shard {
   /// Installs a stream restored from a checkpoint: like InstallStream, but
   /// the detector already carries restored mid-stream state and the slot's
   /// health machine resumes from the snapshot instead of kHealthy. The
-  /// quarantine gauges are re-derived from the restored health.
+  /// quarantine gauges are re-derived from the restored health, and the
+  /// next quarantine's length is clamped into [quarantine_backoff_frames,
+  /// quarantine_backoff_max_frames] of this shard's config.
   void InstallRestoredStream(const core::StreamCkpt& ckpt,
                              std::shared_ptr<core::CopyDetector> detector);
 

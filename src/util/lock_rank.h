@@ -13,7 +13,7 @@
 ///
 /// Outermost (acquired first) to innermost (acquired last):
 ///
-///   kExecutorControl > kShard > kQueue > kMonitor > kQos > kHealth
+///   kExecutorControl > kShard > kQueue > kQos > kHealth
 ///                    > kMetricsRegistry > kLeaf
 ///
 /// Two enforcement layers consume these ranks:
@@ -37,8 +37,8 @@ enum class LockRank : int {
   /// out while holding their lock (faultfx::Injector).
   kLeaf = 10,
   /// obs::MetricsRegistry registration/collection. Below every pipeline
-  /// lock: detector construction registers instruments while the monitor
-  /// or executor control mutex is held.
+  /// lock: detector construction registers instruments while the executor
+  /// control mutex is held.
   kMetricsRegistry = 20,
   /// Reserved for the per-stream health machine (DESIGN.md §12). Today its
   /// state is confined to the owning shard's worker thread and needs no
@@ -49,8 +49,6 @@ enum class LockRank : int {
   /// governor has the shard in Shedding, and by the control plane when a
   /// stream registers its priority; never held across a queue push.
   kQos = 35,
-  /// core::StreamMonitor's portfolio/stream-table mutex.
-  kMonitor = 40,
   /// parallel::BoundedMpscQueue submission-queue mutexes. Taken while the
   /// executor control mutex (command fan-out) or the watchdog mutex
   /// (stall snapshots) is held, never the other way around.
@@ -75,8 +73,6 @@ inline const char* LockRankName(LockRank r) {
       return "kHealth";
     case LockRank::kQos:
       return "kQos";
-    case LockRank::kMonitor:
-      return "kMonitor";
     case LockRank::kQueue:
       return "kQueue";
     case LockRank::kShard:

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/monitor.h"
+#include "core/detector.h"
 #include "parallel/executor.h"
 #include "video/partial_decoder.h"
 
@@ -176,6 +176,38 @@ TEST(BackoffRestoreTest, RestoredRunMatchesUninterruptedRun) {
   EXPECT_EQ(a.backoff_frames, b.backoff_frames);
   EXPECT_EQ(a.max_timestamp, b.max_timestamp);
   EXPECT_EQ(a.saw_timestamp, b.saw_timestamp);
+}
+
+TEST(BackoffRestoreTest, SerialShapeSnapshotKeepsConfiguredBackoff) {
+  // The serial engine of earlier versions wrote every health field at its
+  // default, backoff_frames = 0 included. Installed as is, a backoff that
+  // only ever doubles stays 0 and every quarantine lasts one frame; the
+  // restore clamps it into the configured range instead, so both snapshots
+  // below quarantine alike under 100 corrupt frames.
+  ParallelConfig pc;
+  pc.num_threads = 1;
+  pc.on_corruption = core::CorruptionPolicy::kQuarantine;
+  auto exec = StreamExecutor::Create(SmallConfig(), pc).value();
+  auto sid = exec->OpenStream("s");
+  ASSERT_TRUE(sid.ok());
+  auto own = exec->Checkpoint();
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  ASSERT_EQ(own->streams.size(), 1u);
+  parallel::ExecutorCkpt serial_shape = *own;
+  serial_shape.streams[0].backoff_frames = 0;
+
+  for (const parallel::ExecutorCkpt* snapshot : {&*own, &serial_shape}) {
+    auto restored = StreamExecutor::Create(SmallConfig(), pc).value();
+    ASSERT_TRUE(restored->RestoreCkpt(*snapshot).ok());
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(restored->ProcessKeyFrame(*sid, Frame(i, true)).ok());
+    }
+    const parallel::ShardStats sh = restored->Stats().shards.at(0);
+    // 8 faults, 32 discarded, 8 faults, the remaining 52 discarded.
+    EXPECT_EQ(sh.quarantine_events, 2);
+    EXPECT_EQ(sh.frames_quarantined, 84);
+    EXPECT_EQ(sh.frames_processed, 16);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 /// \file restore_equivalence_test.cc
 /// The acceptance bar of the checkpoint/restore subsystem: a run that is
 /// interrupted at an arbitrary frame boundary, snapshotted, and resumed on
-/// a fresh engine produces *byte-identical* matches — and bit-identical
+/// a fresh executor produces *byte-identical* matches — and bit-identical
 /// detector statistics (RunningStats accumulators included) — to a run that
-/// was never interrupted. Both the serial StreamMonitor and the parallel
-/// StreamExecutor are pinned, and the snapshot round-trips through the full
-/// on-disk codec (EncodeState → EncodeSnapshot → DecodeSnapshot →
-/// DecodeState), not just the in-memory structs.
+/// was never interrupted. The snapshot round-trips through the full on-disk
+/// codec (EncodeState → EncodeSnapshot → DecodeSnapshot → DecodeState), not
+/// just the in-memory structs, and restores at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "core/detector.h"
-#include "core/monitor.h"
 #include "core/query_store.h"
 #include "parallel/executor.h"
 #include "sketch/kernels/kernels.h"
@@ -33,7 +31,7 @@ namespace {
 using core::DetectorConfig;
 using core::ParallelConfig;
 using core::StreamMatch;
-using core::StreamMonitor;
+using parallel::ExecutorCkpt;
 using parallel::StreamExecutor;
 
 DetectorConfig SmallConfig() {
@@ -114,188 +112,146 @@ void ExpectSameStats(const core::DetectorStats& a, const core::DetectorStats& b)
   ExpectSameRaw(a.pool_slots_per_window, b.pool_slots_per_window);
 }
 
-/// Round-trips the in-memory state through the full binary snapshot format.
-ckpt::SnapshotState ThroughCodec(const ckpt::SnapshotState& state,
-                                 uint64_t epoch) {
-  const auto image = ckpt::EncodeSnapshot(epoch, ckpt::EncodeState(state));
+/// Round-trips an executor checkpoint through the full binary snapshot
+/// format, as a real crash-restart would read it.
+ExecutorCkpt ThroughCodec(const DetectorConfig& config, const ExecutorCkpt& ec) {
+  ckpt::SnapshotState state;
+  ckpt::StampMeta(config, &state);
+  state.next_stream_id = ec.next_stream_id;
+  state.next_seq = ec.next_seq;
+  state.streams = ec.streams;
+  for (const auto& m : ec.matches) {
+    state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
+  }
+  const auto image = ckpt::EncodeSnapshot(1, ckpt::EncodeState(state));
   auto snap = ckpt::DecodeSnapshot(image.data(), image.size());
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   auto back = ckpt::DecodeState(*snap);
   EXPECT_TRUE(back.ok()) << back.status().ToString();
-  return *back;
+  ExecutorCkpt out;
+  out.next_stream_id = back->next_stream_id;
+  out.next_seq = back->next_seq;
+  out.streams = back->streams;
+  for (const auto& m : back->matches) {
+    out.matches.push_back(parallel::SeqMatch{m.seq, m.match});
+  }
+  return out;
+}
+
+std::unique_ptr<StreamExecutor> MakeExecutor(int threads) {
+  ParallelConfig pc;
+  pc.num_threads = threads;
+  auto exec = StreamExecutor::Create(SmallConfig(), pc).value();
+  EXPECT_TRUE(exec->AddQuery(1, QueryFrames()).ok());
+  return exec;
+}
+
+/// Feeds frames [from, to) round-robin to \p sids; stream s carries the
+/// scenario with a small per-stream jitter.
+void Feed(StreamExecutor* exec, const std::vector<int>& sids, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    for (size_t s = 0; s < sids.size(); ++s) {
+      const float jitter = static_cast<float>(s) * 0.1f;
+      ASSERT_TRUE(exec->ProcessKeyFrame(sids[s], TinyFrame(i, FillAt(i) + jitter)).ok());
+    }
+  }
+}
+
+/// Everything a finished run reports: the merged match log and, taken
+/// before the close, the first stream's detector stats.
+struct RunOutput {
+  std::vector<StreamMatch> matches;
+  core::DetectorStats stats;
+};
+
+/// Feeds frames [from, kTotalFrames), then reads stats, closes every stream
+/// and drains.
+RunOutput Finish(StreamExecutor* exec, const std::vector<int>& sids, int from) {
+  Feed(exec, sids, from, kTotalFrames);
+  RunOutput out;
+  auto stats = exec->StreamStats(sids.front());
+  EXPECT_TRUE(stats.ok());
+  if (stats.ok()) out.stats = *stats;
+  for (int sid : sids) EXPECT_TRUE(exec->CloseStream(sid).ok());
+  EXPECT_TRUE(exec->Drain().ok());
+  out.matches = exec->matches();
+  return out;
+}
+
+/// Uninterrupted vs. checkpoint-at-`cut`, crash, restore on a fresh
+/// executor with the same thread count, resume.
+std::pair<RunOutput, RunOutput> KillRestore(int threads, int streams, int cut) {
+  std::vector<int> sids;
+  auto uninterrupted = MakeExecutor(threads);
+  for (int s = 0; s < streams; ++s) {
+    sids.push_back(*uninterrupted->OpenStream("s" + std::to_string(s)));
+  }
+  RunOutput a = Finish(uninterrupted.get(), sids, 0);
+
+  auto first = MakeExecutor(threads);
+  for (int s = 0; s < streams; ++s) {
+    EXPECT_EQ(*first->OpenStream("s" + std::to_string(s)), sids[static_cast<size_t>(s)]);
+  }
+  Feed(first.get(), sids, 0, cut);
+  auto ec = first->Checkpoint();
+  EXPECT_TRUE(ec.ok()) << ec.status().ToString();
+
+  auto resumed = MakeExecutor(threads);
+  EXPECT_TRUE(resumed->RestoreCkpt(ThroughCodec(SmallConfig(), *ec)).ok());
+  return {std::move(a), Finish(resumed.get(), sids, cut)};
 }
 
 class RestoreEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RestoreEquivalenceTest, SerialKillRestoreIsByteIdentical) {
-  const int cut = GetParam();
-  const DetectorConfig config = SmallConfig();
-  const auto qframes = QueryFrames();
-
-  auto uninterrupted = StreamMonitor::Create(config).value();
-  ASSERT_TRUE(uninterrupted->AddQuery(1, qframes).ok());
-  auto sid = uninterrupted->OpenStream("s");
-  ASSERT_TRUE(sid.ok());
-  for (int i = 0; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(
-        uninterrupted->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
-  const auto stats_a = uninterrupted->StreamStats(*sid);
-  ASSERT_TRUE(stats_a.ok());
-  ASSERT_TRUE(uninterrupted->CloseStream(*sid).ok());
-  const auto matches_a = uninterrupted->matches();
-  ASSERT_FALSE(matches_a.empty()) << "scenario must actually match";
-
-  // Interrupted run: checkpoint at `cut`, crash, restore, resume.
-  auto first = StreamMonitor::Create(config).value();
-  ASSERT_TRUE(first->AddQuery(1, qframes).ok());
-  auto sid_b = first->OpenStream("s");
-  ASSERT_TRUE(sid_b.ok());
-  ASSERT_EQ(*sid_b, *sid);
-  for (int i = 0; i < cut; ++i) {
-    ASSERT_TRUE(first->ProcessKeyFrame(*sid_b, TinyFrame(i, FillAt(i))).ok());
-  }
-  core::MonitorCkpt mc = first->ExportCkpt();
-
-  // Through the binary codec, as a real crash-restart would read it.
-  ckpt::SnapshotState state;
-  ckpt::StampMeta(config, &state);
-  state.next_stream_id = mc.next_stream_id;
-  state.streams = mc.streams;
-  for (const StreamMatch& m : mc.matches) {
-    state.matches.push_back(ckpt::SnapshotMatch{0, m});
-  }
-  ckpt::SnapshotState decoded = ThroughCodec(state, 1);
-
-  auto resumed = StreamMonitor::Create(config).value();
-  ASSERT_TRUE(resumed->AddQuery(1, qframes).ok());
-  core::MonitorCkpt mc2;
-  mc2.next_stream_id = decoded.next_stream_id;
-  mc2.streams = decoded.streams;
-  for (const auto& m : decoded.matches) mc2.matches.push_back(m.match);
-  ASSERT_TRUE(resumed->RestoreCkpt(mc2).ok());
-  for (int i = cut; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(resumed->ProcessKeyFrame(*sid_b, TinyFrame(i, FillAt(i))).ok());
-  }
-  const auto stats_b = resumed->StreamStats(*sid_b);
-  ASSERT_TRUE(stats_b.ok());
-  ASSERT_TRUE(resumed->CloseStream(*sid_b).ok());
-
-  ExpectSameMatches(matches_a, resumed->matches());
-  ExpectSameStats(*stats_a, *stats_b);
+  const auto [a, b] = KillRestore(/*threads=*/1, /*streams=*/1, GetParam());
+  ASSERT_FALSE(a.matches.empty()) << "scenario must actually match";
+  ExpectSameMatches(a.matches, b.matches);
+  ExpectSameStats(a.stats, b.stats);
 }
 
 TEST_P(RestoreEquivalenceTest, ParallelKillRestoreIsByteIdentical) {
-  const int cut = GetParam();
-  const DetectorConfig config = SmallConfig();
-  ParallelConfig pc;
-  pc.num_threads = 2;
-  const auto qframes = QueryFrames();
-  constexpr int kStreams = 3;
-
-  auto run_frames = [&](StreamExecutor* exec, const std::vector<int>& sids,
-                        int from, int to) {
-    for (int i = from; i < to; ++i) {
-      for (size_t s = 0; s < sids.size(); ++s) {
-        const float jitter = static_cast<float>(s) * 0.1f;
-        ASSERT_TRUE(exec->ProcessKeyFrame(
-                            sids[s], TinyFrame(i, FillAt(i) + jitter))
-                        .ok());
-      }
-    }
-  };
-
-  auto uninterrupted = StreamExecutor::Create(config, pc).value();
-  ASSERT_TRUE(uninterrupted->AddQuery(1, qframes).ok());
-  std::vector<int> sids;
-  for (int s = 0; s < kStreams; ++s) {
-    auto sid = uninterrupted->OpenStream("s" + std::to_string(s));
-    ASSERT_TRUE(sid.ok());
-    sids.push_back(*sid);
-  }
-  run_frames(uninterrupted.get(), sids, 0, kTotalFrames);
-  for (int sid : sids) ASSERT_TRUE(uninterrupted->CloseStream(sid).ok());
-  ASSERT_TRUE(uninterrupted->Drain().ok());
-  const auto matches_a = uninterrupted->matches();
-  ASSERT_FALSE(matches_a.empty());
-
-  auto first = StreamExecutor::Create(config, pc).value();
-  ASSERT_TRUE(first->AddQuery(1, qframes).ok());
-  std::vector<int> sids_b;
-  for (int s = 0; s < kStreams; ++s) {
-    sids_b.push_back(*first->OpenStream("s" + std::to_string(s)));
-  }
-  ASSERT_EQ(sids_b, sids);
-  run_frames(first.get(), sids_b, 0, cut);
-  auto ec = first->Checkpoint();
-  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
-
-  ckpt::SnapshotState state;
-  ckpt::StampMeta(config, &state);
-  state.next_stream_id = ec->next_stream_id;
-  state.next_seq = ec->next_seq;
-  state.streams = ec->streams;
-  for (const auto& m : ec->matches) {
-    state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
-  }
-  ckpt::SnapshotState decoded = ThroughCodec(state, 1);
-
-  auto resumed = StreamExecutor::Create(config, pc).value();
-  ASSERT_TRUE(resumed->AddQuery(1, qframes).ok());
-  parallel::ExecutorCkpt ec2;
-  ec2.next_stream_id = decoded.next_stream_id;
-  ec2.next_seq = decoded.next_seq;
-  ec2.streams = decoded.streams;
-  for (const auto& m : decoded.matches) {
-    ec2.matches.push_back(parallel::SeqMatch{m.seq, m.match});
-  }
-  ASSERT_TRUE(resumed->RestoreCkpt(ec2).ok());
-  run_frames(resumed.get(), sids_b, cut, kTotalFrames);
-  for (int sid : sids_b) ASSERT_TRUE(resumed->CloseStream(sid).ok());
-  ASSERT_TRUE(resumed->Drain().ok());
-
-  ExpectSameMatches(matches_a, resumed->matches());
+  const auto [a, b] = KillRestore(/*threads=*/2, /*streams=*/3, GetParam());
+  ASSERT_FALSE(a.matches.empty()) << "scenario must actually match";
+  ExpectSameMatches(a.matches, b.matches);
+  ExpectSameStats(a.stats, b.stats);
 }
 
 TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
-  // Engine-agnostic codec: a snapshot taken by the serial monitor restores
-  // onto the parallel executor (and produces the same continuation), since
-  // both write the same STREAMS section.
+  // The codec knows no thread count: a snapshot taken at 1 thread restores
+  // onto 2 threads and continues exactly as the 1-thread run does. So does
+  // the shape the serial engine of earlier versions wrote: every match at
+  // seq 0, next_seq 1, and the health machine at its defaults.
   const int cut = GetParam();
-  const DetectorConfig config = SmallConfig();
-  const auto qframes = QueryFrames();
+  auto reference = MakeExecutor(1);
+  const std::vector<int> sids = {*reference->OpenStream("s")};
+  const RunOutput want = Finish(reference.get(), sids, 0);
+  ASSERT_FALSE(want.matches.empty()) << "scenario must actually match";
 
-  auto serial = StreamMonitor::Create(config).value();
-  ASSERT_TRUE(serial->AddQuery(1, qframes).ok());
-  auto sid = serial->OpenStream("s");
-  ASSERT_TRUE(sid.ok());
-  for (int i = 0; i < cut; ++i) {
-    ASSERT_TRUE(serial->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
-  core::MonitorCkpt mc = serial->ExportCkpt();
-  // Reference continuation on the serial engine itself.
-  for (int i = cut; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(serial->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
-  }
-  ASSERT_TRUE(serial->CloseStream(*sid).ok());
+  auto first = MakeExecutor(1);
+  ASSERT_EQ(*first->OpenStream("s"), sids.front());
+  Feed(first.get(), sids, 0, cut);
+  auto ec = first->Checkpoint();
+  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
 
-  ParallelConfig pc;
-  pc.num_threads = 2;
-  auto exec = StreamExecutor::Create(config, pc).value();
-  ASSERT_TRUE(exec->AddQuery(1, qframes).ok());
-  parallel::ExecutorCkpt ec;
-  ec.next_stream_id = mc.next_stream_id;
-  ec.streams = mc.streams;
-  for (const StreamMatch& m : mc.matches) {
-    ec.matches.push_back(parallel::SeqMatch{0, m});
+  ExecutorCkpt serial_shape = *ec;
+  serial_shape.next_seq = 1;
+  for (auto& m : serial_shape.matches) m.seq = 0;
+  for (core::StreamCkpt& s : serial_shape.streams) {
+    core::StreamCkpt defaults;
+    defaults.stream_id = s.stream_id;
+    defaults.name = s.name;
+    defaults.matches_consumed = s.matches_consumed;
+    defaults.detector = std::move(s.detector);
+    s = std::move(defaults);
   }
-  ASSERT_TRUE(exec->RestoreCkpt(ec).ok());
-  for (int i = cut; i < kTotalFrames; ++i) {
-    ASSERT_TRUE(exec->ProcessKeyFrame(*sid, TinyFrame(i, FillAt(i))).ok());
+  for (const ExecutorCkpt& snapshot : {*ec, serial_shape}) {
+    auto resumed = MakeExecutor(2);
+    ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(SmallConfig(), snapshot)).ok());
+    const RunOutput got = Finish(resumed.get(), sids, cut);
+    ExpectSameMatches(want.matches, got.matches);
+    ExpectSameStats(want.stats, got.stats);
   }
-  ASSERT_TRUE(exec->CloseStream(*sid).ok());
-  ASSERT_TRUE(exec->Drain().ok());
-  ExpectSameMatches(serial->matches(), exec->matches());
 }
 
 /// A snapshot holds raw signature words and min-hash arrays, never slab

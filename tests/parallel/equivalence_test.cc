@@ -1,29 +1,32 @@
 /// \file equivalence_test.cc
 /// The determinism contract of the parallel executor: an identical
-/// submission schedule fed through the serial `StreamMonitor` and through
-/// `parallel::StreamExecutor` at every thread count must produce
-/// byte-identical per-stream match sequences, an identical global
-/// arrival-order match log, and identical per-stream detector stats.
+/// submission schedule fed through a serial reference (one `CopyDetector`
+/// per stream on the calling thread) and through `parallel::StreamExecutor`
+/// at every thread count must produce byte-identical per-stream match
+/// sequences, an identical global arrival-order match log, and identical
+/// per-stream detector stats.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/monitor.h"
+#include "core/detector.h"
 #include "parallel/executor.h"
 #include "util/rng.h"
 
 namespace vcd {
 namespace {
 
+using core::CopyDetector;
 using core::DetectorConfig;
 using core::DetectorStats;
 using core::StreamMatch;
-using core::StreamMonitor;
 using parallel::StreamExecutor;
 
 DetectorConfig SmallConfig() {
@@ -112,10 +115,94 @@ struct RunLog {
   std::map<std::string, StatsKey> stats;                   ///< pre-close, by name
 };
 
+/// The serial oracle: one CopyDetector per stream, driven on the calling
+/// thread. A portfolio change reaches every open stream at the point it is
+/// issued, and matches are logged in the order the detectors emit them —
+/// what "serial-equivalent" means for the executor.
+class SerialReference {
+ public:
+  explicit SerialReference(const DetectorConfig& config) : config_(config) {}
+
+  Result<int> OpenStream(std::string name) {
+    auto det = CopyDetector::Create(config_);
+    if (!det.ok()) return det.status();
+    for (const auto& [id, q] : portfolio_) {
+      VCD_RETURN_IF_ERROR(
+          (*det)->AddQuerySketch(id, q.sketch, q.length_frames, q.duration_seconds));
+    }
+    streams_[next_id_] = Stream{std::move(name), std::move(*det), 0};
+    return next_id_++;
+  }
+
+  Status AddQuery(int id, const std::vector<video::DcFrame>& key_frames,
+                  double duration_seconds) {
+    auto q = core::PrepareQuery(config_, key_frames, duration_seconds);
+    if (!q.ok()) return q.status();
+    return AddQuerySketch(id, q->sketch, q->length_frames, q->duration_seconds);
+  }
+
+  Status AddQuerySketch(int id, const sketch::Sketch& sk, int length_frames,
+                        double duration_seconds) {
+    for (auto& [sid, s] : streams_) {
+      VCD_RETURN_IF_ERROR(
+          s.detector->AddQuerySketch(id, sk, length_frames, duration_seconds));
+    }
+    portfolio_.emplace_back(id, core::PreparedQuery{length_frames, duration_seconds, sk});
+    return Status::OK();
+  }
+
+  Status RemoveQuery(int id) {
+    std::erase_if(portfolio_, [id](const auto& q) { return q.first == id; });
+    for (auto& [sid, s] : streams_) VCD_RETURN_IF_ERROR(s.detector->RemoveQuery(id));
+    return Status::OK();
+  }
+
+  Status ProcessKeyFrame(int stream_id, const video::DcFrame& frame) {
+    Stream& s = streams_.at(stream_id);
+    VCD_RETURN_IF_ERROR(s.detector->ProcessKeyFrame(frame));
+    Log(stream_id, &s);
+    return Status::OK();
+  }
+
+  Status CloseStream(int stream_id) {
+    Stream& s = streams_.at(stream_id);
+    VCD_RETURN_IF_ERROR(s.detector->Finish());
+    Log(stream_id, &s);
+    streams_.erase(stream_id);
+    return Status::OK();
+  }
+
+  Result<DetectorStats> StreamStats(int stream_id) const {
+    return streams_.at(stream_id).detector->stats();
+  }
+
+  const std::vector<StreamMatch>& matches() const { return log_; }
+
+ private:
+  struct Stream {
+    std::string name;
+    std::unique_ptr<CopyDetector> detector;
+    size_t logged = 0;
+  };
+
+  void Log(int stream_id, Stream* s) {
+    const auto& ms = s->detector->matches();
+    for (; s->logged < ms.size(); ++s->logged) {
+      log_.push_back(StreamMatch{stream_id, s->name, ms[s->logged]});
+    }
+  }
+
+  DetectorConfig config_;
+  std::vector<std::pair<int, core::PreparedQuery>> portfolio_;  ///< in add order
+  std::map<int, Stream> streams_;
+  int next_id_ = 1;
+  std::vector<StreamMatch> log_;
+};
+
 /// Drives one fixed schedule against either API. `Api` must provide
 /// OpenStream/AddQuery/AddQuerySketch/RemoveQuery/ProcessKeyFrame/
-/// CloseStream/StreamStats/matches with monitor-compatible signatures;
-/// `drain` is a no-op for the serial monitor.
+/// CloseStream/StreamStats/matches with executor-compatible signatures;
+/// `drain` is a no-op for the serial reference.
 template <typename Api, typename DrainFn>
 RunLog RunSchedule(Api& api, DrainFn drain) {
   const DetectorConfig config = SmallConfig();
@@ -175,8 +262,8 @@ RunLog RunSchedule(Api& api, DrainFn drain) {
 }
 
 RunLog SerialRun() {
-  auto mon = StreamMonitor::Create(SmallConfig()).value();
-  return RunSchedule(*mon, [] {});
+  SerialReference ref(SmallConfig());
+  return RunSchedule(ref, [] {});
 }
 
 RunLog ParallelRun(int threads) {

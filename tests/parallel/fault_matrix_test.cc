@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/monitor.h"
+#include "core/match.h"
 #include "parallel/executor.h"
 #include "util/faultfx.h"
 #include "video/codec.h"

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/monitor.h"
+#include "core/match.h"
 #include "parallel/executor.h"
 #include "parallel/mpsc_queue.h"
 #include "util/rng.h"

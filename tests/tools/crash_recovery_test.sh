@@ -4,7 +4,10 @@
 # restart with --restore, and require the resumed run's match output to be
 # byte-identical to an uninterrupted run. Also pins the graceful-drain path:
 # SIGTERM stops intake, takes a final checkpoint, and exits 0; a restore
-# then completes the job with identical matches.
+# then completes the job with identical matches. A second fixture feeds
+# three files round-robin at --threads=2, where a checkpoint is cut only
+# at the top of a round-robin cycle, and pins that the default run prints
+# the same MATCH lines as --threads=2.
 #
 # Usage: crash_recovery_test.sh <path-to-vcdctl> [seed]
 set -u
@@ -17,11 +20,50 @@ WORK=$(mktemp -d /tmp/vcd_crash_recovery_XXXXXX)
 trap 'rm -rf "$WORK"' EXIT
 
 # Deterministic kill-delay sequence from the seed (no $RANDOM: two runs with
-# the same seed must kill at the same wall-clock points).
+# the same seed must kill at the same wall-clock points). Sets RAND_VALUE
+# rather than printing it: a $(...) caller would advance a subshell's copy
+# of the state, and every round would kill at the same point.
 RAND_STATE=$SEED
 next_rand() {
   RAND_STATE=$(( (RAND_STATE * 1103515245 + 12345) % 2147483648 ))
-  echo $(( RAND_STATE % $1 ))
+  RAND_VALUE=$(( RAND_STATE % $1 ))
+}
+
+# kill_restore_round NAME REF MONITOR-ARGS...: runs a throttled,
+# checkpointing `vcdctl monitor MONITOR-ARGS`, SIGKILLs it at a seeded
+# random point, restores from its checkpoint dir and requires the resumed
+# run's MATCH lines to equal the file REF.
+kill_restore_round() {
+  local name="$1" ref="$2"
+  shift 2
+  local dir="$WORK/ckpt-$name"
+  "$VCDCTL" monitor "$@" --checkpoint-dir="$dir" --checkpoint-interval-ms=30 \
+    --throttle-ms=15 > "$WORK/$name.out" 2>/dev/null &
+  local pid=$!
+  next_rand 400
+  local delay_ms=$(( 80 + RAND_VALUE ))
+  sleep "$(awk "BEGIN{print $delay_ms/1000}")"
+  kill -9 "$pid" 2>/dev/null
+  wait "$pid" 2>/dev/null
+  local rc=$?
+  if [ $rc -ne 137 ]; then
+    # The run finished before the kill landed; the final checkpoint must
+    # still restore to the complete match list below.
+    echo "note: $name: monitor finished before SIGKILL (rc=$rc)"
+  fi
+  "$VCDCTL" monitor "$@" --checkpoint-dir="$dir" --restore \
+    > "$WORK/$name-resumed.out" \
+    || { echo "FAIL: $name: --restore run failed"; FAILED=1; return; }
+  if ! grep -q '^restored checkpoint epoch' "$WORK/$name-resumed.out"; then
+    echo "FAIL: $name: restore did not report a loaded snapshot"
+    FAILED=1
+  fi
+  grep '^MATCH' "$WORK/$name-resumed.out" > "$WORK/$name-resumed.matches"
+  if ! diff -u "$ref" "$WORK/$name-resumed.matches"; then
+    echo "FAIL: $name (kill after ${delay_ms}ms, seed $SEED):" \
+         "resumed matches differ from the uninterrupted run"
+    FAILED=1
+  fi
 }
 
 # --- fixture: a synthetic stream that is its own query (self-copy) --------
@@ -56,35 +98,8 @@ fi
 
 # --- SIGKILL at randomized points, then restore ---------------------------
 for round in 1 2 3; do
-  DIR="$WORK/ckpt-$round"
-  OUT="$WORK/round-$round.out"
-  "$VCDCTL" monitor "$WORK/q.vcdq" "$WORK/stream.vcds" \
-    --checkpoint-dir="$DIR" --checkpoint-interval-ms=30 --throttle-ms=15 \
-    > "$OUT" 2>/dev/null &
-  PID=$!
-  DELAY_MS=$(( 80 + $(next_rand 400) ))
-  sleep "$(awk "BEGIN{print $DELAY_MS/1000}")"
-  kill -9 "$PID" 2>/dev/null
-  wait "$PID" 2>/dev/null
-  RC=$?
-  if [ $RC -ne 137 ]; then
-    # The run finished before the kill landed; the final checkpoint must
-    # still restore to the complete match list below.
-    echo "note: round $round: monitor finished before SIGKILL (rc=$RC)"
-  fi
-  "$VCDCTL" monitor "$WORK/q.vcdq" "$WORK/stream.vcds" \
-    --checkpoint-dir="$DIR" --restore > "$WORK/resumed-$round.out" \
-    || { echo "FAIL: round $round: --restore run failed"; FAILED=1; continue; }
-  if ! grep -q '^restored checkpoint epoch' "$WORK/resumed-$round.out"; then
-    echo "FAIL: round $round: restore did not report a loaded snapshot"
-    FAILED=1
-  fi
-  grep '^MATCH' "$WORK/resumed-$round.out" > "$WORK/resumed-$round.matches"
-  if ! diff -u "$WORK/ref.matches" "$WORK/resumed-$round.matches"; then
-    echo "FAIL: round $round (kill after ${DELAY_MS}ms, seed $SEED):" \
-         "resumed matches differ from the uninterrupted run"
-    FAILED=1
-  fi
+  kill_restore_round "round-$round" "$WORK/ref.matches" \
+    "$WORK/q.vcdq" "$WORK/stream.vcds"
 done
 
 # --- graceful drain: SIGTERM → final checkpoint → exit 0 → restore --------
@@ -149,8 +164,44 @@ else
   FAILED=1
 fi
 
+# --- three files round-robin at --threads=2 --------------------------------
+# The queries are prefixes of two of the streams, so their matches fire
+# mid-feed and the round-robin interleaving decides the MATCH order.
+for s in 8 9; do
+  "$VCDCTL" generate --out="$WORK/clip$s.y4m" --seconds=$(( s + 1 )) \
+    --seed=$s --w=176 --h=144 >/dev/null &&
+    "$VCDCTL" encode "$WORK/clip$s.y4m" "$WORK/stream$s.vcds" >/dev/null \
+    || { echo "FAIL: fixture stream $s"; exit 1; }
+done
+for s in 7 8; do
+  "$VCDCTL" generate --out="$WORK/q$s.y4m" --seconds=$(( s - 3 )) \
+    --seed=$s --w=176 --h=144 >/dev/null &&
+    "$VCDCTL" encode "$WORK/q$s.y4m" "$WORK/q$s.vcds" >/dev/null \
+    || { echo "FAIL: fixture query $s"; exit 1; }
+done
+"$VCDCTL" build-queries "$WORK/q3.vcdq" 1="$WORK/q7.vcds" 2="$WORK/q8.vcds" \
+  --k=128 >/dev/null || { echo "FAIL: build-queries (3 files)"; exit 1; }
+THREE=("$WORK/q3.vcdq" "$WORK/stream.vcds" "$WORK/stream8.vcds" "$WORK/stream9.vcds")
+"$VCDCTL" monitor "${THREE[@]}" > "$WORK/ref3.out" \
+  || { echo "FAIL: 3-file reference run"; exit 1; }
+grep '^MATCH' "$WORK/ref3.out" > "$WORK/ref3.matches"
+if [ "$(wc -l < "$WORK/ref3.matches")" -lt 2 ]; then
+  echo "FAIL: 3-file reference run printed fewer than 2 matches (fixture broken)"
+  exit 1
+fi
+"$VCDCTL" monitor "${THREE[@]}" --threads=2 > "$WORK/ref3-t2.out" \
+  || { echo "FAIL: 3-file --threads=2 run"; exit 1; }
+grep '^MATCH' "$WORK/ref3-t2.out" > "$WORK/ref3-t2.matches"
+if ! diff -u "$WORK/ref3.matches" "$WORK/ref3-t2.matches"; then
+  echo "FAIL: the default run and --threads=2 print different MATCH lines"
+  FAILED=1
+fi
+for round in 1 2 3; do
+  kill_restore_round "three-$round" "$WORK/ref3.matches" "${THREE[@]}" --threads=2
+done
+
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: kill-restore equivalence, graceful drain and torn-snapshot fallback hold (seed $SEED)"
+echo "OK: kill-restore equivalence (1 and 3 files), graceful drain and torn-snapshot fallback hold (seed $SEED)"
 exit 0

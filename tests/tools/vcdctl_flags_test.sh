@@ -28,6 +28,24 @@ expect_flag_error() {
   fi
 }
 
+# Valid flags with a missing db must get PAST flag validation: non-zero exit
+# from the loader, but no usage message (it is not a usage error).
+expect_loader_failure() {
+  local desc="$1"
+  shift
+  local err rc
+  err=$("$VCDCTL" "$@" 2>&1 >/dev/null)
+  rc=$?
+  if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
+    echo "FAIL: $desc: expected a loader failure, got rc=$rc"
+    FAILED=1
+  fi
+  if echo "$err" | grep -q "usage: vcdctl monitor"; then
+    echo "FAIL: $desc: printed the usage message"
+    FAILED=1
+  fi
+}
+
 NO_SUCH_DB="/nonexistent/queries.vcdq"
 NO_SUCH_STREAM="/nonexistent/stream.vcds"
 
@@ -58,10 +76,6 @@ expect_flag_error "negative --throttle-ms" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --throttle-ms=-1
 expect_flag_error "negative --push-deadline-ms" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --push-deadline-ms=-1
-expect_flag_error "--push-deadline-ms without --threads" \
-  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --push-deadline-ms=100
-expect_flag_error "--qos without --threads" \
-  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --qos
 expect_flag_error "--qos-tick-ms without --qos" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --qos-tick-ms=50
 expect_flag_error "--priority-map without --qos" \
@@ -90,47 +104,25 @@ if ! "$VCDCTL" kernels | grep -q "^neon .*yes"; then
 fi
 
 # A supported --kernel must get PAST flag validation (scalar is always
-# supported): loader failure, no usage line.
-err=$("$VCDCTL" monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --kernel=scalar \
-  2>&1 >/dev/null)
-rc=$?
-if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
-  echo "FAIL: --kernel=scalar + missing db: expected loader failure, got rc=$rc"
-  FAILED=1
-fi
-if echo "$err" | grep -q "usage: vcdctl monitor"; then
-  echo "FAIL: --kernel=scalar + missing db printed the usage message"
-  FAILED=1
-fi
+# supported).
+expect_loader_failure "--kernel=scalar + missing db" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --kernel=scalar
 
-# A fully valid QoS flag set must also get PAST validation: loader failure,
-# no usage line.
-err=$("$VCDCTL" monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
+# A fully valid QoS flag set must also get PAST validation.
+expect_loader_failure "valid qos flags + missing db" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
   --push-deadline-ms=250 --qos-tick-ms=50 --priority-map=1=high \
-  --degrade-policy=probe=2,cap=16,nogeo --qos 2>&1 >/dev/null)
-rc=$?
-if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
-  echo "FAIL: valid qos flags + missing db: expected loader failure, got rc=$rc"
-  FAILED=1
-fi
-if echo "$err" | grep -q "usage: vcdctl monitor"; then
-  echo "FAIL: valid qos flags + missing db printed the usage message"
-  FAILED=1
-fi
+  --degrade-policy=probe=2,cap=16,nogeo --qos
+expect_loader_failure "valid flags + missing db" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
+  --on-corruption=quarantine --watchdog-ms=250
 
-# Valid flags with a missing db must get PAST flag validation: non-zero exit
-# from the loader, but no usage message (it is not a usage error).
-err=$("$VCDCTL" monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
-  --on-corruption=quarantine --watchdog-ms=250 2>&1 >/dev/null)
-rc=$?
-if [ $rc -eq 0 ] || [ $rc -eq 2 ]; then
-  echo "FAIL: valid flags + missing db: expected a loader failure, got rc=$rc"
-  FAILED=1
-fi
-if echo "$err" | grep -q "usage: vcdctl monitor"; then
-  echo "FAIL: valid flags + missing db printed the usage message"
-  FAILED=1
-fi
+# Every monitor run goes through the executor (--threads defaults to 1), so
+# --qos and --push-deadline-ms need no --threads.
+expect_loader_failure "--push-deadline-ms without --threads" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --push-deadline-ms=100
+expect_loader_failure "--qos without --threads" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --qos
 
 if [ $FAILED -ne 0 ]; then
   exit 1

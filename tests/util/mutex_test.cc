@@ -101,8 +101,8 @@ TEST(MutexRankTest, FailedTryLockLeavesStackUntouched) {
 
 TEST(MutexRankTest, RanksAreIntrospectable) {
   SKIP_WITHOUT_DEADLOCK_CHECK();
-  Mutex mu{LockRank::kMonitor, "t.named"};
-  EXPECT_EQ(mu.rank(), LockRank::kMonitor);
+  Mutex mu{LockRank::kQueue, "t.named"};
+  EXPECT_EQ(mu.rank(), LockRank::kQueue);
   EXPECT_STREQ(mu.name(), "t.named");
   EXPECT_STREQ(LockRankName(LockRank::kExecutorControl), "kExecutorControl");
   EXPECT_STREQ(LockRankName(LockRank::kLeaf), "kLeaf");

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "ckpt/checkpointer.h"
-#include "core/monitor.h"
 #include "core/query_store.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -335,10 +334,11 @@ void PrintMatches(const std::vector<core::StreamMatch>& matches) {
   std::printf("%zu matches total\n", matches.size());
 }
 
-/// Set by SIGTERM/SIGINT: the monitor loops stop intake at the next frame
-/// boundary, take a final checkpoint (when a checkpoint dir is configured),
-/// flush metrics and exit 0 — without flushing trailing windows, so a later
-/// --restore continues the interrupted streams mid-window.
+/// Set by SIGTERM/SIGINT: the monitor loop stops intake at the top of the
+/// next round-robin cycle, takes a final checkpoint (when a checkpoint dir
+/// is configured), flushes metrics and exits 0 — without flushing trailing
+/// windows, so a later --restore continues the interrupted streams
+/// mid-window.
 volatile std::sig_atomic_t g_drain_requested = 0;
 
 void OnDrainSignal(int /*signo*/) { g_drain_requested = 1; }
@@ -539,32 +539,25 @@ Status SkipKeyFrames(video::PartialDecoder* pd, int64_t n,
   return Status::OK();
 }
 
-/// Parallel path of `vcdctl monitor`: streams are opened on the sharded
-/// executor and fed round-robin (the arrival pattern of concurrent live
-/// feeds), so different files progress on different worker threads.
+/// The `vcdctl monitor` driver: streams are opened on the sharded executor
+/// and fed round-robin (the arrival pattern of concurrent live feeds), so
+/// different files progress on different worker threads.
 ///
 /// Checkpoints are taken only at the TOP of a round-robin cycle, so every
 /// live file has fed the same number of frames and a resumed run repeats
 /// the exact submission interleaving (and hence sequence numbering) the
 /// uninterrupted run would have used — the property the byte-identical
 /// match-output guarantee rests on.
-int MonitorParallel(const Args& a, const core::DetectorConfig& config,
-                    const core::QueryDb& db,
-                    const std::vector<uint8_t>& db_bytes,
-                    const CkptOptions& copt, int threads) {
+int RunMonitor(const Args& a, const core::DetectorConfig& config,
+               const core::QueryDb& db, const std::vector<uint8_t>& db_bytes,
+               const CkptOptions& copt, int threads) {
   core::ParallelConfig pc;
   pc.num_threads = threads;
   pc.queue_capacity = static_cast<int>(a.Num("queue", 256));
-  const std::string bp = a.Str("backpressure", "block");
-  if (bp == "drop") {
-    pc.backpressure = core::BackpressurePolicy::kDropNewest;
-  } else if (bp == "block") {
-    pc.backpressure = core::BackpressurePolicy::kBlock;
-  } else {
-    std::fprintf(stderr, "error: --backpressure must be block or drop (got %s)\n",
-                 bp.c_str());
-    return 2;
-  }
+  // Flag values were validated in CmdMonitor, before any file I/O.
+  pc.backpressure = a.Str("backpressure", "block") == "drop"
+                        ? core::BackpressurePolicy::kDropNewest
+                        : core::BackpressurePolicy::kBlock;
   const std::string oc = a.Str("on-corruption", "skip");
   if (oc == "quarantine") {
     pc.on_corruption = core::CorruptionPolicy::kQuarantine;
@@ -806,155 +799,6 @@ int MonitorParallel(const Args& a, const core::DetectorConfig& config,
   return 0;
 }
 
-/// Serial path of `vcdctl monitor`: one StreamMonitor, files fed to
-/// completion one after another. Checkpoints are taken between key frames
-/// (every frame boundary is a consistent cut of a serial engine); the
-/// snapshot's DRIVER section records each file's feed position so a
-/// restored run resumes mid-file.
-int MonitorSerial(const Args& a, const core::DetectorConfig& config,
-                  const core::QueryDb& db, const std::vector<uint8_t>& db_bytes,
-                  const CkptOptions& copt, const std::string& oc,
-                  const std::string& metrics_out) {
-  auto mon = core::StreamMonitor::Create(config);
-  if (!mon.ok()) return Fail(mon.status());
-
-  std::unique_ptr<ckpt::Checkpointer> ckptr;
-  if (!copt.dir.empty()) {
-    auto c = ckpt::Checkpointer::Open(
-        copt.dir, metrics_out.empty() ? nullptr : &obs::MetricsRegistry::Global());
-    if (!c.ok()) return Fail(c.status());
-    ckptr = std::make_unique<ckpt::Checkpointer>(std::move(*c));
-  }
-
-  std::vector<DriverPos> pos;
-  for (size_t s = 1; s < a.positional.size(); ++s) {
-    pos.push_back(DriverPos{a.positional[s], 0, false, 0});
-  }
-
-  if (copt.restore) {
-    auto state = LoadRestoreState(ckptr.get(), config, db, &pos);
-    if (!state.ok()) return Fail(state.status());
-    auto embedded = core::DeserializeQueries(state->query_db.data(),
-                                             state->query_db.size());
-    if (!embedded.ok()) return Fail(embedded.status());
-    if (Status st = (*mon)->ImportQueries(*embedded); !st.ok()) return Fail(st);
-    core::MonitorCkpt mc;
-    mc.next_stream_id = state->next_stream_id;
-    mc.streams = std::move(state->streams);
-    mc.matches.reserve(state->matches.size());
-    for (const ckpt::SnapshotMatch& m : state->matches) {
-      mc.matches.push_back(m.match);
-    }
-    if (Status st = (*mon)->RestoreCkpt(mc); !st.ok()) return Fail(st);
-    std::printf("restored checkpoint epoch %llu (%zu streams, %zu matches)\n",
-                static_cast<unsigned long long>(state->epoch),
-                mc.streams.size(), mc.matches.size());
-  } else {
-    if (Status st = (*mon)->ImportQueries(db); !st.ok()) return Fail(st);
-  }
-  std::printf("monitoring with %d queries (K=%d, delta=%.2f, w=%.0fs)\n",
-              (*mon)->num_queries(), config.K, config.delta, config.window_seconds);
-
-  /// Snapshots the monitor between two key frames; failures are logged and
-  /// counted, never fatal.
-  const auto take_checkpoint = [&]() {
-    core::MonitorCkpt mc = (*mon)->ExportCkpt();
-    ckpt::SnapshotState state;
-    ckpt::StampMeta(config, &state);
-    state.query_db = db_bytes;
-    state.next_stream_id = mc.next_stream_id;
-    state.next_seq = 1;  // the serial engine has no submission sequencing
-    state.streams = std::move(mc.streams);
-    state.matches.reserve(mc.matches.size());
-    for (const core::StreamMatch& m : mc.matches) {
-      state.matches.push_back(ckpt::SnapshotMatch{0, m});
-    }
-    state.driver = ToDriverSection(pos);
-    if (Status st = ckptr->Save(state); !st.ok()) {
-      std::fprintf(stderr, "warning: checkpoint save failed: %s\n",
-                   st.ToString().c_str());
-    }
-  };
-  /// Stop-intake drain: final checkpoint, metrics flush, exit 0 — streams
-  /// are deliberately NOT closed, so no trailing window is flushed and a
-  /// --restore resumes mid-stream.
-  const auto drain = [&]() -> int {
-    if (ckptr != nullptr) take_checkpoint();
-    if (!metrics_out.empty()) {
-      if (Status st = DumpMetrics("json", metrics_out); !st.ok()) {
-        return Fail(st);
-      }
-    }
-    std::printf("drain requested; stopped intake%s\n",
-                ckptr != nullptr ? " after final checkpoint" : "");
-    return 0;
-  };
-
-  const int64_t ckpt_interval_ns =
-      static_cast<int64_t>(copt.interval_ms) * 1000000;
-  int64_t next_ckpt_ns =
-      (ckptr != nullptr && ckpt_interval_ns > 0) ? obs::NowNanos() + ckpt_interval_ns
-                                                 : 0;
-  for (size_t i = 0; i < pos.size(); ++i) {
-    if (pos[i].done) continue;
-    auto bytes = ReadFile(pos[i].path);
-    if (!bytes.ok()) return Fail(bytes.status());
-    video::PartialDecoder pd;
-    pd.set_resync_on_corruption(oc != "fail");
-    if (!metrics_out.empty()) pd.set_metrics(&obs::MetricsRegistry::Global());
-    if (Status st = pd.Open(bytes->data(), bytes->size()); !st.ok()) return Fail(st);
-    if (pos[i].stream_id > 0) {
-      // Restored stream: replay the decoder to the checkpointed position.
-      if (Status st = SkipKeyFrames(&pd, pos[i].frames_fed, pos[i].path);
-          !st.ok()) {
-        return Fail(st);
-      }
-    } else {
-      auto sid = (*mon)->OpenStream(pos[i].path);
-      if (!sid.ok()) return Fail(sid.status());
-      pos[i].stream_id = *sid;
-    }
-    video::DcFrame f;
-    Status next;
-    while (true) {
-      if (g_drain_requested) return drain();
-      if (next_ckpt_ns > 0 && obs::NowNanos() >= next_ckpt_ns) {
-        take_checkpoint();
-        next_ckpt_ns = obs::NowNanos() + ckpt_interval_ns;
-      }
-      if (!(next = pd.NextKeyFrame(&f)).ok()) break;
-      if (Status st = (*mon)->ProcessKeyFrame(pos[i].stream_id, f); !st.ok()) {
-        return Fail(st);
-      }
-      ++pos[i].frames_fed;
-      if (copt.throttle_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(copt.throttle_ms));
-      }
-    }
-    if (next.code() != StatusCode::kNotFound) {
-      std::fprintf(stderr, "warning: %s: %s; stream stopped\n",
-                   pos[i].path.c_str(), next.ToString().c_str());
-    }
-    if (Status st = (*mon)->CloseStream(pos[i].stream_id); !st.ok()) {
-      return Fail(st);
-    }
-    pos[i].done = true;
-    pos[i].stream_id = 0;
-  }
-  // Final checkpoint so a restored run of a finished job reports the
-  // complete match log without re-feeding anything.
-  if (ckptr != nullptr) take_checkpoint();
-  // Serial path: only the decoders publish (StreamMonitor predates the
-  // registry); one dump at the end keeps the flag meaningful regardless of
-  // --threads.
-  if (!metrics_out.empty()) {
-    if (Status st = DumpMetrics("json", metrics_out); !st.ok()) return Fail(st);
-    std::printf("wrote metrics to %s\n", metrics_out.c_str());
-  }
-  PrintMatches((*mon)->matches());
-  return 0;
-}
-
 /// Lists every kernel ISA level with its compiled/supported state and marks
 /// the level dispatch would pick (or was forced to via VCD_KERNEL_ISA).
 int CmdKernels(const Args&) {
@@ -994,7 +838,8 @@ int CmdMonitor(const Args& a) {
   }
   // All flag validation happens before any file I/O, so a bad invocation
   // fails fast with a usage message instead of a missing-file error.
-  const int threads = static_cast<int>(a.Num("threads", 0));
+  // 0 = one worker per hardware thread (ParallelConfig::num_threads).
+  const int threads = static_cast<int>(a.Num("threads", 1));
   if (threads < 0) {
     std::fprintf(stderr, "error: --threads must be >= 0 (got %d)\n", threads);
     MonitorUsage();
@@ -1091,11 +936,6 @@ int CmdMonitor(const Args& a) {
     MonitorUsage();
     return 2;
   }
-  if (push_deadline_ms > 0 && threads <= 0) {
-    std::fprintf(stderr, "error: --push-deadline-ms requires --threads >= 1\n");
-    MonitorUsage();
-    return 2;
-  }
   if (!qos_on && (a.options.count("qos-tick-ms") > 0 ||
                   a.options.count("priority-map") > 0 ||
                   a.options.count("degrade-policy") > 0)) {
@@ -1106,13 +946,6 @@ int CmdMonitor(const Args& a) {
     return 2;
   }
   if (qos_on) {
-    if (threads <= 0) {
-      std::fprintf(stderr,
-                   "error: --qos requires --threads >= 1 (the governor runs "
-                   "on the parallel executor)\n");
-      MonitorUsage();
-      return 2;
-    }
     std::map<size_t, qos::Priority> pmap;
     if (Status st = ParsePriorityMap(a.Str("priority-map", ""),
                                      a.positional.size() - 1, &pmap);
@@ -1148,8 +981,7 @@ int CmdMonitor(const Args& a) {
   config.window_seconds = a.Num("window", 5.0);
   std::signal(SIGINT, OnDrainSignal);
   std::signal(SIGTERM, OnDrainSignal);
-  if (threads > 0) return MonitorParallel(a, config, *db, *db_bytes, copt, threads);
-  return MonitorSerial(a, config, *db, *db_bytes, copt, oc, metrics_out);
+  return RunMonitor(a, config, *db, *db_bytes, copt, threads);
 }
 
 }  // namespace
