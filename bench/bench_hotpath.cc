@@ -13,13 +13,16 @@
 /// the densest steady-state combination load (≈ Q·⌈λL/w⌉ signatures per
 /// window) — so the numbers isolate combination/test kernel cost rather
 /// than match emission. Allocations are counted by a global operator
-/// new/delete hook; every run must report 0 per steady-state window.
+/// new/delete hook; every run must report 0 per steady-state window. One
+/// more, untimed, index-on Sequential-Bit run holds the index path to the
+/// same allocation contract (MeasureIndexPathAllocsPerWindow).
 ///
 /// Flags: --quick (short measurement, for CI smoke), --json=PATH (machine
 /// readable output via BenchJsonWriter), --metrics-json=PATH (a sample
 /// observability snapshot from a short metrics-attached run — the measured
 /// runs themselves stay metrics-detached so the numbers are unperturbed).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -311,6 +314,67 @@ double MeasureCheckpointPauseMs(const std::vector<CellId>& stream,
   return best_ms;
 }
 
+/// Heap allocations per steady-state window of the index path, which the
+/// timed rows (no index) never reach: a Sequential-Bit K=64 detector with
+/// the Hash-Query index on, over a periodic stream that follows every two
+/// windows of query content with one window of cells no query holds. The
+/// probe relates each content window to some of the queries, and an older
+/// candidate's query that a window is not related to — every query, in a
+/// foreign window — gets a completion signature (DESIGN.md §6), so the
+/// measured windows run the probe, the completion builds and their
+/// release. Worst of \p reps; not timed, because the timed rows' key
+/// (order, rep, K, isa) has no index field.
+double MeasureIndexPathAllocsPerWindow(
+    const std::vector<std::vector<CellId>>& queries, int warm_windows,
+    int meas_windows, int reps) {
+  constexpr int kPeriodWindows = 12;
+  Rng rng(20080407);
+  std::vector<CellId> stream;
+  for (int w = 0; w < kPeriodWindows; ++w) {
+    const std::vector<CellId> cells =
+        w % 3 == 2 ? RandomIds(&rng, kSlotsPerWindow, 4096, 60000)
+                   : RandomIds(&rng, kSlotsPerWindow, 0, 2048);
+    stream.insert(stream.end(), cells.begin(), cells.end());
+  }
+  core::DetectorConfig c;
+  c.K = 64;
+  c.window_seconds = 4.0;
+  c.delta = 0.05;
+  c.lambda = 2.0;
+  c.representation = core::Representation::kBit;
+  c.order = core::CombinationOrder::kSequential;
+  c.use_index = true;
+  c.enable_pruning = true;
+  auto det = core::CopyDetector::Create(c).value();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    VCD_CHECK(det->AddQueryCells(static_cast<int>(q) + 1, queries[q],
+                                 kQuerySeconds)
+                  .ok(),
+              "add query");
+  }
+  int64_t slot = 0;
+  const auto feed = [&](int windows) {
+    const int64_t end = slot + static_cast<int64_t>(windows) * kSlotsPerWindow;
+    for (; slot < end; ++slot) {
+      VCD_CHECK(det->ProcessFingerprint(
+                       slot * 12, static_cast<double>(slot) / kKeyFps,
+                       stream[static_cast<size_t>(slot) % stream.size()])
+                    .ok(),
+                "feed");
+    }
+  };
+  feed(warm_windows);
+  double worst = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const int64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+    feed(meas_windows);
+    const int64_t allocs_after = g_alloc_count.load(std::memory_order_relaxed);
+    worst = std::max(worst, static_cast<double>(allocs_after - allocs_before) /
+                                meas_windows);
+  }
+  return worst;
+}
+
 /// Measures the relative wall-clock overhead the QoS governor (DESIGN.md
 /// §17) adds to the parallel frame path while it stays idle: one stream fed
 /// through a single-shard StreamExecutor with the governor off versus
@@ -488,13 +552,18 @@ int main(int argc, char** argv) {
   }
   // The remaining measurements run on the dispatched ISA.
   VCD_CHECK(sketch::kernels::ForceIsa(best_isa).ok(), "restore kernel ISA");
+  const double index_allocs =
+      MeasureIndexPathAllocsPerWindow(queries, warm_windows, meas_windows, reps);
+  if (index_allocs != 0.0) pooled_alloc_free = false;
 
   const double speedup =
       seqbit64_scalar > 0 && seqbit64_best > 0 ? seqbit64_best / seqbit64_scalar
                                                : 0.0;
   const double ckpt_pause_ms =
       MeasureCheckpointPauseMs(stream, queries, warm_windows, reps);
-  std::printf("\nSequential-Bit K=64: scalar ISA %.1f w/s, %s %.1f w/s "
+  std::printf("\nindex-on Sequential-Bit K=64 (untimed): %.2f allocations/window\n",
+              index_allocs);
+  std::printf("Sequential-Bit K=64: scalar ISA %.1f w/s, %s %.1f w/s "
               "(%.2fx); steady-state allocations/window: %s\n",
               seqbit64_scalar, best_isa.c_str(), seqbit64_best, speedup,
               pooled_alloc_free ? "0 (all runs)" : "NONZERO");
@@ -505,6 +574,8 @@ int main(int argc, char** argv) {
   std::printf("qos governor overhead (enabled-idle vs off): %.2f%%\n",
               qos_overhead_pct);
   json.AddMeta("seqbit64_speedup", bench::BenchJsonWriter::Num(speedup));
+  json.AddMeta("index_allocs_per_window",
+               bench::BenchJsonWriter::Num(index_allocs));
   json.AddMeta("pooled_alloc_free",
                bench::BenchJsonWriter::Bool(pooled_alloc_free));
   json.AddMeta("checkpoint_pause_ms",

@@ -254,11 +254,10 @@ BENCHMARK(BM_IndexBuild)
     ->ArgsProduct({{200, 1000, 10000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// --- slab kernels vs per-object signature ops ------------------------------
-// Each BM_Pool* / BM_Obj* pair does the same logical work over a fixed
-// candidate set: the Obj variant dispatches per BitSignature object (one
-// heap vector each), the Pool variant runs the SignaturePool batch kernel
-// over a contiguous slab. Arg is K; the candidate set is 256 signatures.
+// --- slab kernels ------------------------------------------------------------
+// Each BM_Pool* bench runs one SignaturePool batch kernel over a fixed
+// candidate set in a contiguous slab. Arg is K; the candidate set is 256
+// signatures.
 
 constexpr size_t kPoolBenchSigs = 256;
 
@@ -266,8 +265,6 @@ struct PoolBenchFixture {
   sketch::SignaturePool pool;
   std::vector<sketch::SignaturePool::Handle> dst;
   std::vector<sketch::SignaturePool::Handle> src;
-  std::vector<BitSignature> obj_dst;
-  std::vector<BitSignature> obj_src;
 
   explicit PoolBenchFixture(int k) : pool(k) {
     auto fam = MinHashFamily::Create(k).value();
@@ -281,20 +278,9 @@ struct PoolBenchFixture {
       pool.BuildFromSketches(dst.back(), a, q);
       src.push_back(pool.Allocate());
       pool.BuildFromSketches(src.back(), b, q);
-      obj_dst.push_back(BitSignature::FromSketches(a, q));
-      obj_src.push_back(BitSignature::FromSketches(b, q));
     }
   }
 };
-
-void BM_ObjOrLoop(benchmark::State& state) {
-  PoolBenchFixture f(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (size_t i = 0; i < kPoolBenchSigs; ++i) f.obj_dst[i].OrWith(f.obj_src[i]);
-    benchmark::DoNotOptimize(f.obj_dst.data());
-  }
-}
-BENCHMARK(BM_ObjOrLoop)->Arg(100)->Arg(800)->Arg(3000);
 
 void BM_PoolOrRange(benchmark::State& state) {
   PoolBenchFixture f(static_cast<int>(state.range(0)));
@@ -316,16 +302,6 @@ void BM_PoolOrRangeFused(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolOrRangeFused)->Arg(100)->Arg(800)->Arg(3000);
 
-void BM_ObjNumEqualLoop(benchmark::State& state) {
-  PoolBenchFixture f(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    int sum = 0;
-    for (size_t i = 0; i < kPoolBenchSigs; ++i) sum += f.obj_dst[i].NumEqual();
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_ObjNumEqualLoop)->Arg(100)->Arg(800)->Arg(3000);
-
 void BM_PoolNumEqualBatch(benchmark::State& state) {
   PoolBenchFixture f(static_cast<int>(state.range(0)));
   std::vector<int> eq(kPoolBenchSigs);
@@ -337,18 +313,6 @@ void BM_PoolNumEqualBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolNumEqualBatch)->Arg(100)->Arg(800)->Arg(3000);
 
-void BM_ObjLemma2Loop(benchmark::State& state) {
-  PoolBenchFixture f(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    int viable = 0;
-    for (size_t i = 0; i < kPoolBenchSigs; ++i) {
-      viable += f.obj_dst[i].SatisfiesLemma2(0.7);
-    }
-    benchmark::DoNotOptimize(viable);
-  }
-}
-BENCHMARK(BM_ObjLemma2Loop)->Arg(100)->Arg(800)->Arg(3000);
-
 void BM_PoolPruneScan(benchmark::State& state) {
   PoolBenchFixture f(static_cast<int>(state.range(0)));
   std::vector<uint8_t> prune(kPoolBenchSigs);
@@ -358,21 +322,6 @@ void BM_PoolPruneScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoolPruneScan)->Arg(100)->Arg(800)->Arg(3000);
-
-void BM_ObjSignatureLifecycle(benchmark::State& state) {
-  // Candidate birth/death cost: construct-from-sketches then destroy.
-  const int k = static_cast<int>(state.range(0));
-  auto fam = MinHashFamily::Create(k).value();
-  Sketcher sk(&fam);
-  Rng rng(12);
-  Sketch a = sk.FromSequence(RandomIds(&rng, 30));
-  Sketch q = sk.FromSequence(RandomIds(&rng, 30));
-  for (auto _ : state) {
-    BitSignature sig = BitSignature::FromSketches(a, q);
-    benchmark::DoNotOptimize(sig);
-  }
-}
-BENCHMARK(BM_ObjSignatureLifecycle)->Arg(100)->Arg(800)->Arg(3000);
 
 void BM_PoolSignatureLifecycle(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

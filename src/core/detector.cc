@@ -132,11 +132,14 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
   scratch_.eq_buf.reserve(bound);
   scratch_.less_buf.reserve(bound);
   // The union slow path of MergePooledBit only runs after a Lemma-2 prune
-  // desyncs a candidate's query set — an event warmup may never see, so
+  // desyncs a block's query set, and Sequential completions only when a
+  // window leaves a query out of R_L — events warmup may never see, so
   // these buffers cannot rely on a high-water mark. One entry per query
-  // bounds the merge union.
+  // bounds the merge union and the window's completions.
   scratch_.merge_sigs.reserve(queries_.size());
   scratch_.merge_or_idx.reserve(queries_.size());
+  scratch_.window_sig.push_back(sketch::SignaturePool::kInvalidHandle);
+  scratch_.window_sig_set.reserve(queries_.size());
   scratch_.or_dst.reserve(queries_.size());
   scratch_.or_src.reserve(queries_.size());
   scratch_.or_less.reserve(queries_.size());
@@ -294,6 +297,9 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   c->start_time = window.start_time;
   c->end_time = window.end_time;
   c->sigs.clear();
+  // R_L's size varies with content, so a warmup high-water mark does not
+  // bound a shell's list; one entry per query does (DESIGN.md §11).
+  c->sigs.reserve(queries_.size());
   sketch::SignaturePool& pool = *sig_pool_;
   if (config_.use_index) {
     if (!index_.has_value()) return;
@@ -346,11 +352,12 @@ void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
 
 void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& newer) {
   sketch::SignaturePool& pool = *sig_pool_;
-  // Fast path: at steady state both candidates usually track the same query
-  // set (always, without an index), making the union-merge the identity on
-  // older.sigs with every pair OR'd. Detect that with one cheap ordinal
-  // sweep and skip the merged-buffer bookkeeping — kernel call, prune
-  // decisions and stats are identical to the general path below.
+  // Fast path: without the index, two blocks track the same query set
+  // until a Lemma-2 prune or a subscription change sets them apart, making
+  // the union-merge the identity on older.sigs with every pair OR'd. Detect
+  // that with one cheap ordinal sweep and skip the merged-buffer
+  // bookkeeping — kernel call, prune decisions and stats are identical to
+  // the general path below.
   bool same_queries = older.sigs.size() == newer.sigs.size();
   for (size_t t = 0; same_queries && t < older.sigs.size(); ++t) {
     same_queries = older.sigs[t].q == newer.sigs[t].q;
@@ -451,6 +458,82 @@ void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& new
   older.num_windows += newer.num_windows;
   older.end_frame = newer.end_frame;
   older.end_time = newer.end_time;
+}
+
+void CopyDetector::MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
+                               const sketch::Sketch& wsk) {
+  sketch::SignaturePool& pool = *sig_pool_;
+  std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
+  std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
+  dst.clear();
+  src.clear();
+  const int num_windows = older.num_windows + fresh.num_windows;
+  const int* caps = query_window_cap_.data();
+  // A query only fresh tracks is not cloned: fresh keeps it, as the suffix
+  // that starts at this window.
+  size_t out = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < older.sigs.size(); ++i) {
+    const PooledSigRef s = older.sigs[i];
+    // caps[q] is 0 once unsubscribed: the test step's expiry, taken before
+    // a completion would read a freed sketch.
+    if (num_windows > caps[s.q]) {
+      pool.Free(s.sig);
+      continue;
+    }
+    while (j < fresh.sigs.size() && fresh.sigs[j].q < s.q) ++j;
+    dst.push_back(s.sig);
+    src.push_back(j < fresh.sigs.size() && fresh.sigs[j].q == s.q
+                      ? fresh.sigs[j].sig
+                      : WindowSignature(s.q, wsk));
+    older.sigs[out++] = s;
+  }
+  older.sigs.resize(out);
+  stats_.bitsig_ors += static_cast<int64_t>(out);
+  if (!config_.enable_pruning) {
+    pool.OrRange(dst.data(), src.data(), out);
+  } else {
+    std::vector<int>& less = scratch_.or_less;
+    less.resize(out);
+    pool.OrRange(dst.data(), src.data(), out, less.data());
+    const double max_less =
+        static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
+    out = 0;
+    for (size_t t = 0; t < older.sigs.size(); ++t) {
+      if (static_cast<double>(less[t]) > max_less) {
+        ++stats_.candidates_pruned;
+        pool.Free(older.sigs[t].sig);
+      } else {
+        older.sigs[out++] = older.sigs[t];
+      }
+    }
+    older.sigs.resize(out);
+  }
+  older.num_windows = num_windows;
+  older.end_frame = fresh.end_frame;
+  older.end_time = fresh.end_time;
+}
+
+sketch::SignaturePool::Handle CopyDetector::WindowSignature(
+    int q, const sketch::Sketch& wsk) {
+  sketch::SignaturePool::Handle& h = scratch_.window_sig[static_cast<size_t>(q)];
+  if (h == sketch::SignaturePool::kInvalidHandle) {
+    // Not counted in bitsig_builds, which keeps Fig. 5's meaning (R_L
+    // survivors); the cost shows in the combine span.
+    h = sig_pool_->Allocate();
+    sig_pool_->BuildFromSketches(h, wsk, queries_[static_cast<size_t>(q)].sketch);
+    scratch_.window_sig_set.push_back(q);
+  }
+  return h;
+}
+
+void CopyDetector::ReleaseWindowSignatures() {
+  for (int q : scratch_.window_sig_set) {
+    sketch::SignaturePool::Handle& h = scratch_.window_sig[static_cast<size_t>(q)];
+    sig_pool_->Free(h);
+    h = sketch::SignaturePool::kInvalidHandle;
+  }
+  scratch_.window_sig_set.clear();
 }
 
 void CopyDetector::MergePooledSketch(PooledSketchCand& older,
@@ -650,7 +733,13 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
     if (seq) {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pseq_bit_.Step(eff_max, init, merge, retire);
+        pseq_bit_.Step(
+            eff_max, init,
+            [&](PooledBitCand& older, const PooledBitCand& fresh) {
+              MergeSeqBit(older, fresh, wsk);
+            },
+            retire);
+        ReleaseWindowSignatures();
       }
       VCD_OBS_SPAN(metrics_.test_ns);
       TestPooledBitSeqBatch();
@@ -874,6 +963,9 @@ Status CopyDetector::ValidateState() const {
   }
   for (const auto& slot : pgeo_sketch_.ladder()) {
     if (slot.has_value()) VCD_RETURN_IF_ERROR(check_pooled_sketch(*slot));
+  }
+  if (!scratch_.window_sig_set.empty()) {
+    return Status::Internal("completion signatures outlived their window");
   }
   if (sig_pool_.has_value()) {
     VCD_RETURN_IF_ERROR(sig_pool_->Validate());

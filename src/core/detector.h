@@ -328,6 +328,11 @@ class CopyDetector {
     std::vector<uint64_t> related_seen;  ///< index probe dedup bitmap
     std::vector<int> related;            ///< index probe output: R_L ordinals
     std::vector<PooledSigRef> merge_sigs;    ///< MergePooledBit union buffer
+    /// Sequential Bit: per query ordinal, the current window's completion
+    /// signature (built on demand by WindowSignature) or kInvalidHandle.
+    /// Every entry is kInvalidHandle between windows.
+    std::vector<sketch::SignaturePool::Handle> window_sig;
+    std::vector<int> window_sig_set;  ///< ordinals whose window_sig is set
     std::vector<sketch::SignaturePool::Handle> or_dst, or_src;
     std::vector<sketch::SignaturePool::Handle> handle_buf;
     std::vector<int> eq_buf, less_buf;       ///< NumEqualBatch outputs
@@ -361,10 +366,29 @@ class CopyDetector {
   void InitPooledSketchCand(PooledSketchCand* c,
                             const stream::BasicWindow& window,
                             const sketch::Sketch& wsk);
-  /// Merges \p newer into \p older (Bit representation; union-OR of
-  /// signature lists, missing sides treated as all-">" per §V-A) with the
-  /// OrRange/PruneScan slab kernels.
+  /// Merges Geometric block \p newer into \p older (Bit representation):
+  /// the union of their signature lists, common queries OR'd and a query
+  /// only \p newer tracks cloned in, with the fused OrRange/NumLess Lemma-2
+  /// prune. A query one block lacks contributes no bits for that block's
+  /// windows, so the merged signature covers only part of the span
+  /// (DESIGN.md §6).
   void MergePooledBit(PooledBitCand& older, const PooledBitCand& newer);
+  /// Sequential order's merge of the \p fresh one-window candidate (window
+  /// sketch \p wsk) into \p older (DESIGN.md §6): \p older keeps exactly
+  /// the queries it tracks, and each entry is OR'd with this window's
+  /// signature for its query — \p fresh's, or a completion built by
+  /// WindowSignature — so it stays the exact OR over every absorbed window.
+  /// Entries past their query's λL cap (removed queries included) are
+  /// dropped; the fused OR + NumLess Lemma-2 prune runs over the rest.
+  void MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
+                   const sketch::Sketch& wsk);
+  /// The current window's signature for query ordinal \p q when the fresh
+  /// candidate holds none (the index left \p q out of R_L, or Lemma 2
+  /// pruned it at the probe): a completion built from \p wsk and the query
+  /// sketch once per window and shared by every older candidate.
+  sketch::SignaturePool::Handle WindowSignature(int q, const sketch::Sketch& wsk);
+  /// Frees the window's completion signatures and clears window_sig.
+  void ReleaseWindowSignatures();
   /// Merges \p newer into \p older (Sketch representation) with the
   /// strided CombineMin kernel.
   void MergePooledSketch(PooledSketchCand& older, const PooledSketchCand& newer);

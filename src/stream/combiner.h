@@ -23,9 +23,9 @@
 /// supplied by the caller.
 ///
 /// ### Recycling
-/// Both containers support an in-place protocol for payloads that hold
-/// arena handles (see sketch/signature_pool.h) or want to reuse buffer
-/// capacity: `Step(max_windows, init, merge, retire)` builds the fresh
+/// Both containers work in place, for payloads that hold arena handles (see
+/// sketch/signature_pool.h) and reuse buffer capacity:
+/// `Step(max_windows, init, merge, retire)` builds the fresh
 /// candidate inside a recycled shell (`init(C&)` must fully overwrite it),
 /// and every candidate the container drops is passed to `retire(C&)` —
 /// which must release external resources such as pool handles — before its
@@ -62,21 +62,12 @@ class SequentialCandidates {
     for (size_t i = head_; i < buf_.size(); ++i) fn(buf_[i]);
   }
 
-  /// Absorbs a fresh single-window candidate: merges it into every live
-  /// candidate (oldest first), appends it, and expires candidates that now
-  /// exceed \p max_windows. `merge(into, fresh)` must also advance
-  /// `into.num_windows`.
-  template <typename MergeFn>
-  void Step(C fresh, int max_windows, MergeFn&& merge) {
-    Step(
-        max_windows, [&](C& slot) { slot = std::move(fresh); },
-        std::forward<MergeFn>(merge), [](C&) {});
-  }
-
-  /// In-place Step: `init(C&)` fills a recycled shell with the fresh
-  /// single-window candidate (it must overwrite every field); `retire(C&)`
-  /// is called on each candidate dropped by expiry before its shell is
-  /// parked for reuse.
+  /// Absorbs a fresh single-window candidate: `init(C&)` fills a recycled
+  /// shell with it (it must overwrite every field), `merge(into, fresh)`
+  /// merges it into every live candidate (oldest first) and must also
+  /// advance `into.num_windows`, then it is appended and candidates that
+  /// now exceed \p max_windows expire. `retire(C&)` is called on each
+  /// expired candidate before its shell is parked for reuse.
   template <typename InitFn, typename MergeFn, typename RetireFn>
   void Step(int max_windows, InitFn&& init, MergeFn&& merge, RetireFn&& retire) {
     C fresh = TakeShell();
@@ -163,21 +154,13 @@ class SequentialCandidates {
 template <typename C>
 class GeometricCandidates {
  public:
-  /// Absorbs a fresh single-window candidate, carrying merges up the ladder.
-  /// `merge(older, newer)` merges `newer` into `older` (which precedes it on
-  /// the stream) and must accumulate `num_windows`. Ladder levels whose
-  /// capacity 2^level exceeds \p max_windows are dropped (expiry).
-  template <typename MergeFn>
-  void Step(C fresh, int max_windows, MergeFn&& merge) {
-    Step(
-        max_windows, [&](C& slot) { slot = std::move(fresh); },
-        std::forward<MergeFn>(merge), [](C&) {});
-  }
-
-  /// In-place Step: `init(C&)` fills a recycled shell with the fresh
-  /// single-window candidate; `retire(C&)` is called on every candidate the
-  /// ladder drops — the absorbed (newer) side of each carry merge, and an
-  /// expired carry — before its shell is parked for reuse.
+  /// Absorbs a fresh single-window candidate, which `init(C&)` fills into a
+  /// recycled shell, carrying merges up the ladder. `merge(older, newer)`
+  /// merges `newer` into `older` (which precedes it on the stream) and must
+  /// accumulate `num_windows`. A carry longer than \p max_windows is
+  /// dropped (expiry). `retire(C&)` is called on every candidate the ladder
+  /// drops — the absorbed (newer) side of each carry merge, and an expired
+  /// carry — before its shell is parked for reuse.
   template <typename InitFn, typename MergeFn, typename RetireFn>
   void Step(int max_windows, InitFn&& init, MergeFn&& merge, RetireFn&& retire) {
     C carry = TakeShell();
@@ -211,40 +194,16 @@ class GeometricCandidates {
   /// the sequences "ending now" with geometrically spaced lengths that
   /// Geometric order actually tests.
   ///
-  /// `copy(c)` clones a stored block; `merge(older, newer)` is the same
-  /// merge as Step; `visit(c)` is called on each cumulative candidate.
-  /// Visiting stops once a cumulative candidate would exceed
-  /// \p max_windows, or after \p max_visits candidates were visited —
-  /// `max_visits = 1` is the QoS degraded mode that probes only the newest
-  /// block (qos::DegradeKnobs::disable_geometric).
-  template <typename CopyFn, typename MergeFn, typename VisitFn>
-  void VisitSuffixes(int max_windows, CopyFn&& copy, MergeFn&& merge,
-                     VisitFn&& visit,
-                     int max_visits = std::numeric_limits<int>::max()) const {
-    if (max_visits <= 0) return;
-    std::optional<C> cum;
-    int visited = 0;
-    for (const auto& slot : ladder_) {
-      if (!slot.has_value()) continue;
-      if (!cum.has_value()) {
-        cum = copy(*slot);
-      } else {
-        if (slot->num_windows + cum->num_windows > max_windows) break;
-        C older = copy(*slot);
-        merge(older, *cum);
-        cum = std::move(older);
-      }
-      if (cum->num_windows > max_windows) break;
-      visit(*cum);
-      if (++visited >= max_visits) break;
-    }
-  }
-
-  /// VisitSuffixes against caller-owned scratch: `assign(dst, src)` clones
+  /// The sweep runs in caller-owned scratch: `assign(dst, src)` clones
   /// stored block \p src into shell \p dst (the shell arrives retired —
-  /// external resources released, buffers reusable); `retire(C&)` releases
-  /// a shell's external resources. Using two shells (\p cum and \p tmp)
-  /// makes the whole sweep allocation-free for arena-backed payloads.
+  /// external resources released, buffers reusable); `merge(older, newer)`
+  /// is the same merge as Step; `visit(c)` is called on each cumulative
+  /// candidate; `retire(C&)` releases a shell's external resources. Using
+  /// two shells (\p cum and \p tmp) makes the whole sweep allocation-free
+  /// for arena-backed payloads. Visiting stops once a cumulative candidate
+  /// would exceed \p max_windows, or after \p max_visits candidates were
+  /// visited — `max_visits = 1` is the QoS degraded mode that probes only
+  /// the newest block (qos::DegradeKnobs::disable_geometric).
   template <typename AssignFn, typename MergeFn, typename VisitFn,
             typename RetireFn>
   void VisitSuffixesInto(int max_windows, C* cum, C* tmp, AssignFn&& assign,

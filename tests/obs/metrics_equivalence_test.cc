@@ -96,16 +96,20 @@ class MetricsEquivalenceTest : public ::testing::Test {
 
 TEST_F(MetricsEquivalenceTest, PooledAndScalarPublishIdenticalCounters) {
   // Recorded while the detector still ran a scalar per-object engine beside
-  // the pooled one: both engines published exactly these maps.
+  // the pooled one: both engines published exactly these maps. The Bit map
+  // was re-recorded when Sequential order stopped cloning queries into
+  // older candidates (DESIGN.md §6): their entries now absorb completion
+  // signatures, which Lemma 2 prunes, so ORs, prune hits and expiries
+  // changed while builds and matches did not.
   const std::map<std::string, int64_t> bit = {
       {"vcd_detector_bitsig_builds_total", 8},
-      {"vcd_detector_bitsig_ors_total", 18},
+      {"vcd_detector_bitsig_ors_total", 28},
       {"vcd_detector_candidates_admitted_total", 18},
-      {"vcd_detector_candidates_expired_total", 15},
+      {"vcd_detector_candidates_expired_total", 18},
       {"vcd_detector_degraded_windows_total", 0},
       {"vcd_detector_matches_total", 2},
-      {"vcd_detector_prune_hits_total", 0},
-      {"vcd_detector_prune_misses_total", 26},
+      {"vcd_detector_prune_hits_total", 8},
+      {"vcd_detector_prune_misses_total", 28},
       {"vcd_detector_qos_skipped_windows_total", 0},
       {"vcd_detector_sketch_combines_total", 0},
       {"vcd_detector_sketch_compares_total", 0},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace vcd::stream {
@@ -21,11 +22,29 @@ void Merge(Cand& older, const Cand& newer) {
   older.last = newer.last;
 }
 
+/// Absorbs window \p i into \p container (payloads own no resources, so
+/// retire has nothing to release).
+template <typename Container>
+void StepWindow(Container* container, int i, int max_windows) {
+  container->Step(
+      max_windows, [&](Cand& c) { c = Fresh(i); }, Merge, [](Cand&) {});
+}
+
+/// The cumulative suffix candidates VisitSuffixesInto visits, in order.
+std::vector<Cand> Suffixes(const GeometricCandidates<Cand>& geo, int max_windows) {
+  std::vector<Cand> visited;
+  Cand cum, tmp;
+  geo.VisitSuffixesInto(
+      max_windows, &cum, &tmp, [](Cand& dst, const Cand& src) { dst = src; },
+      Merge, [&](const Cand& c) { visited.push_back(c); }, [](Cand&) {});
+  return visited;
+}
+
 TEST(SequentialCandidatesTest, AllSuffixLengthsPresent) {
   SequentialCandidates<Cand> seq;
   const int max_windows = 5;
   for (int i = 0; i < 10; ++i) {
-    seq.Step(Fresh(i), max_windows, Merge);
+    StepWindow(&seq, i, max_windows);
     // After window i, candidates are the suffixes ending at i with lengths
     // 1..min(i+1, max).
     const int expect = std::min(i + 1, max_windows);
@@ -41,20 +60,20 @@ TEST(SequentialCandidatesTest, AllSuffixLengthsPresent) {
 
 TEST(SequentialCandidatesTest, ExpiryDropsOldest) {
   SequentialCandidates<Cand> seq;
-  for (int i = 0; i < 4; ++i) seq.Step(Fresh(i), 3, Merge);
+  for (int i = 0; i < 4; ++i) StepWindow(&seq, i, 3);
   seq.ForEach([](const Cand& c) { EXPECT_LE(c.num_windows, 3); });
 }
 
 TEST(SequentialCandidatesTest, RemoveIf) {
   SequentialCandidates<Cand> seq;
-  for (int i = 0; i < 5; ++i) seq.Step(Fresh(i), 10, Merge);
+  for (int i = 0; i < 5; ++i) StepWindow(&seq, i, 10);
   seq.RemoveIf([](const Cand& c) { return c.num_windows % 2 == 0; });
   seq.ForEach([](const Cand& c) { EXPECT_EQ(c.num_windows % 2, 1); });
 }
 
 TEST(SequentialCandidatesTest, Clear) {
   SequentialCandidates<Cand> seq;
-  seq.Step(Fresh(0), 5, Merge);
+  StepWindow(&seq, 0, 5);
   seq.Clear();
   EXPECT_TRUE(seq.empty());
 }
@@ -69,14 +88,13 @@ struct RCand {
   bool owns = false;  ///< simulated external resource (e.g. pool handle)
 };
 
-TEST(SequentialCandidatesTest, InPlaceStepMatchesValueStep) {
-  SequentialCandidates<Cand> value_seq;
-  SequentialCandidates<RCand> inplace_seq;
+TEST(SequentialCandidatesTest, StepRecyclesShellsAndRetiresExpired) {
+  SequentialCandidates<RCand> seq;
+  const int max_windows = 6;
   int retired = 0;
   for (int i = 0; i < 20; ++i) {
-    value_seq.Step(Fresh(i), 6, Merge);
-    inplace_seq.Step(
-        6,
+    seq.Step(
+        max_windows,
         [&](RCand& c) {
           c.num_windows = 1;
           c.first = c.last = i;
@@ -92,12 +110,15 @@ TEST(SequentialCandidatesTest, InPlaceStepMatchesValueStep) {
           c.owns = false;
           ++retired;
         });
-    ASSERT_EQ(value_seq.size(), inplace_seq.size());
-    for (size_t j = 0; j < value_seq.size(); ++j) {
-      EXPECT_EQ(value_seq.at(j).num_windows, inplace_seq.at(j).num_windows);
-      EXPECT_EQ(value_seq.at(j).first, inplace_seq.at(j).first);
-      EXPECT_EQ(value_seq.at(j).last, inplace_seq.at(j).last);
-      EXPECT_TRUE(inplace_seq.at(j).owns);
+    // Recycled shells hold exactly the suffixes ending at window i.
+    const int expect = std::min(i + 1, max_windows);
+    ASSERT_EQ(static_cast<int>(seq.size()), expect) << "window " << i;
+    for (size_t j = 0; j < seq.size(); ++j) {
+      const RCand& c = seq.at(j);
+      EXPECT_EQ(c.num_windows, expect - static_cast<int>(j));
+      EXPECT_EQ(c.first, i - c.num_windows + 1);
+      EXPECT_EQ(c.last, i);
+      EXPECT_TRUE(c.owns);
     }
   }
   // Windows 0..19 with max 6: windows 0..13 produced an expiry each.
@@ -136,13 +157,12 @@ TEST(SequentialCandidatesTest, RemoveIfRetiresDropped) {
   EXPECT_TRUE(seq.empty());
 }
 
-TEST(GeometricCandidatesTest, InPlaceStepMatchesValueStep) {
-  GeometricCandidates<Cand> value_geo;
-  GeometricCandidates<RCand> inplace_geo;
+TEST(GeometricCandidatesTest, StepRecyclesShellsAndDropsOversizedCarry) {
+  GeometricCandidates<RCand> geo;
+  const int max_windows = 8;
   for (int i = 0; i < 29; ++i) {
-    value_geo.Step(Fresh(i), 8, Merge);
-    inplace_geo.Step(
-        8,
+    geo.Step(
+        max_windows,
         [&](RCand& c) {
           c.num_windows = 1;
           c.first = c.last = i;
@@ -157,31 +177,28 @@ TEST(GeometricCandidatesTest, InPlaceStepMatchesValueStep) {
           EXPECT_TRUE(c.owns);
           c.owns = false;
         });
-    ASSERT_EQ(value_geo.ladder().size(), inplace_geo.ladder().size());
-    for (size_t l = 0; l < value_geo.ladder().size(); ++l) {
-      ASSERT_EQ(value_geo.ladder()[l].has_value(),
-                inplace_geo.ladder()[l].has_value());
-      if (!value_geo.ladder()[l].has_value()) continue;
-      EXPECT_EQ(value_geo.ladder()[l]->num_windows,
-                inplace_geo.ladder()[l]->num_windows);
-      EXPECT_EQ(value_geo.ladder()[l]->first, inplace_geo.ladder()[l]->first);
-      EXPECT_EQ(value_geo.ladder()[l]->last, inplace_geo.ladder()[l]->last);
-      EXPECT_TRUE(inplace_geo.ladder()[l]->owns);
+    // A carry of 16 windows exceeds max_windows and is dropped, so the
+    // ladder counts the windows since the last drop in binary, newest
+    // (smallest) block first, tiling back from window i.
+    const int count = (i + 1) % 16;
+    int expected_last = i;
+    for (size_t l = 0; l < geo.ladder().size(); ++l) {
+      const auto& slot = geo.ladder()[l];
+      ASSERT_EQ(slot.has_value(), ((count >> l) & 1) != 0)
+          << "window " << i << " level " << l;
+      if (!slot.has_value()) continue;
+      EXPECT_EQ(slot->num_windows, 1 << l);
+      EXPECT_EQ(slot->last, expected_last);
+      EXPECT_EQ(slot->first, expected_last - slot->num_windows + 1);
+      EXPECT_TRUE(slot->owns);
+      expected_last = slot->first - 1;
     }
   }
 }
 
-TEST(GeometricCandidatesTest, VisitSuffixesIntoMatchesVisitSuffixes) {
+TEST(GeometricCandidatesTest, VisitSuffixesIntoRetiresEveryShell) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 13; ++i) geo.Step(Fresh(i), 1000, Merge);
-  std::vector<Cand> copied;
-  geo.VisitSuffixes(
-      1000, [](const Cand& c) { return c; },
-      [](Cand& older, const Cand& newer) {
-        older.num_windows += newer.num_windows;
-        older.last = newer.last;
-      },
-      [&](const Cand& c) { copied.push_back(c); });
+  for (int i = 0; i < 13; ++i) StepWindow(&geo, i, 1000);
   std::vector<Cand> inplace;
   Cand cum, tmp;
   int retired = 0;
@@ -193,11 +210,13 @@ TEST(GeometricCandidatesTest, VisitSuffixesIntoMatchesVisitSuffixes) {
         older.last = newer.last;
       },
       [&](const Cand& c) { inplace.push_back(c); }, [&](Cand&) { ++retired; });
-  ASSERT_EQ(copied.size(), inplace.size());
-  for (size_t i = 0; i < copied.size(); ++i) {
-    EXPECT_EQ(copied[i].num_windows, inplace[i].num_windows);
-    EXPECT_EQ(copied[i].first, inplace[i].first);
-    EXPECT_EQ(copied[i].last, inplace[i].last);
+  // 13 = 0b1101: blocks of 1, 4 and 8 windows give suffixes of 1, 5 and 13.
+  const std::vector<int> lengths = {1, 5, 13};
+  ASSERT_EQ(inplace.size(), lengths.size());
+  for (size_t i = 0; i < inplace.size(); ++i) {
+    EXPECT_EQ(inplace[i].num_windows, lengths[i]);
+    EXPECT_EQ(inplace[i].first, 13 - lengths[i]);
+    EXPECT_EQ(inplace[i].last, 12);
   }
   // Every intermediate cum plus the final one must have been retired.
   EXPECT_EQ(retired, static_cast<int>(inplace.size()));
@@ -205,7 +224,7 @@ TEST(GeometricCandidatesTest, VisitSuffixesIntoMatchesVisitSuffixes) {
 
 TEST(GeometricCandidatesTest, BinaryCounterSizes) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 16; ++i) geo.Step(Fresh(i), 1000, Merge);
+  for (int i = 0; i < 16; ++i) StepWindow(&geo, i, 1000);
   // 16 windows = 0b10000: one block of 16 at level 4.
   int live = 0;
   for (size_t level = 0; level < geo.ladder().size(); ++level) {
@@ -221,7 +240,7 @@ TEST(GeometricCandidatesTest, BinaryCounterSizes) {
 TEST(GeometricCandidatesTest, CounterValueMatchesWindowCount) {
   GeometricCandidates<Cand> geo;
   const int n = 13;  // 0b1101
-  for (int i = 0; i < n; ++i) geo.Step(Fresh(i), 1000, Merge);
+  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
   int total = 0;
   for (const auto& slot : geo.ladder()) {
     if (slot.has_value()) total += slot->num_windows;
@@ -233,7 +252,7 @@ TEST(GeometricCandidatesTest, CounterValueMatchesWindowCount) {
 TEST(GeometricCandidatesTest, BlocksAreContiguousNewestFirst) {
   GeometricCandidates<Cand> geo;
   const int n = 13;
-  for (int i = 0; i < n; ++i) geo.Step(Fresh(i), 1000, Merge);
+  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
   // Level order is newest (smallest) to oldest (largest); spans must tile
   // [0, n) in reverse.
   int expected_last = n - 1;
@@ -248,16 +267,8 @@ TEST(GeometricCandidatesTest, BlocksAreContiguousNewestFirst) {
 TEST(GeometricCandidatesTest, VisitSuffixesYieldsSuffixSpans) {
   GeometricCandidates<Cand> geo;
   const int n = 13;
-  for (int i = 0; i < n; ++i) geo.Step(Fresh(i), 1000, Merge);
-  std::vector<Cand> visited;
-  geo.VisitSuffixes(
-      1000, [](const Cand& c) { return c; },
-      [](Cand& older, const Cand& newer) {
-        EXPECT_EQ(older.last + 1, newer.first);
-        older.num_windows += newer.num_windows;
-        older.last = newer.last;
-      },
-      [&](const Cand& c) { visited.push_back(c); });
+  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
+  const std::vector<Cand> visited = Suffixes(geo, 1000);
   ASSERT_FALSE(visited.empty());
   // Every visited candidate ends at the latest window and lengths grow.
   int prev = 0;
@@ -273,25 +284,18 @@ TEST(GeometricCandidatesTest, VisitSuffixesYieldsSuffixSpans) {
 
 TEST(GeometricCandidatesTest, VisitSuffixesHonorsMaxWindows) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 16; ++i) geo.Step(Fresh(i), 1000, Merge);
-  geo.Step(Fresh(16), 1000, Merge);  // blocks: 16 @L4, 1 @L0
-  std::vector<int> lengths;
-  geo.VisitSuffixes(
-      8, [](const Cand& c) { return c; },
-      [](Cand& older, const Cand& newer) {
-        older.num_windows += newer.num_windows;
-        older.last = newer.last;
-      },
-      [&](const Cand& c) { lengths.push_back(c.num_windows); });
+  for (int i = 0; i < 16; ++i) StepWindow(&geo, i, 1000);
+  StepWindow(&geo, 16, 1000);  // blocks: 16 @L4, 1 @L0
+  const std::vector<Cand> visited = Suffixes(geo, 8);
   // Only the length-1 suffix fits under max_windows = 8.
-  ASSERT_EQ(lengths.size(), 1u);
-  EXPECT_EQ(lengths[0], 1);
+  ASSERT_EQ(visited.size(), 1u);
+  EXPECT_EQ(visited[0].num_windows, 1);
 }
 
 TEST(GeometricCandidatesTest, ExpiryDropsOversizedCarry) {
   GeometricCandidates<Cand> geo;
   // max_windows = 4: merging to a block of 8 must drop it.
-  for (int i = 0; i < 8; ++i) geo.Step(Fresh(i), 4, Merge);
+  for (int i = 0; i < 8; ++i) StepWindow(&geo, i, 4);
   for (const auto& slot : geo.ladder()) {
     if (slot.has_value()) {
       EXPECT_LE(slot->num_windows, 4);
@@ -301,7 +305,7 @@ TEST(GeometricCandidatesTest, ExpiryDropsOversizedCarry) {
 
 TEST(GeometricCandidatesTest, LogarithmicLiveCount) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 1000; ++i) geo.Step(Fresh(i), 1 << 20, Merge);
+  for (int i = 0; i < 1000; ++i) StepWindow(&geo, i, 1 << 20);
   // popcount(1000) = 6 live blocks; never more than log2(1000)+1.
   EXPECT_LE(geo.size(), 10u);
   EXPECT_EQ(geo.size(), 6u);
@@ -309,7 +313,7 @@ TEST(GeometricCandidatesTest, LogarithmicLiveCount) {
 
 TEST(GeometricCandidatesTest, RemoveIfAndClear) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 7; ++i) geo.Step(Fresh(i), 100, Merge);
+  for (int i = 0; i < 7; ++i) StepWindow(&geo, i, 100);
   geo.RemoveIf([](const Cand& c) { return c.num_windows == 2; });
   for (const auto& slot : geo.ladder()) {
     if (slot.has_value()) {
@@ -322,7 +326,7 @@ TEST(GeometricCandidatesTest, RemoveIfAndClear) {
 
 TEST(GeometricCandidatesTest, ForEachVisitsAllLive) {
   GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 7; ++i) geo.Step(Fresh(i), 100, Merge);
+  for (int i = 0; i < 7; ++i) StepWindow(&geo, i, 100);
   int count = 0;
   geo.ForEach([&](Cand&) { ++count; });
   EXPECT_EQ(count, 3);  // popcount(7)

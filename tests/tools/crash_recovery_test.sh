@@ -7,7 +7,9 @@
 # then completes the job with identical matches. A second fixture feeds
 # three files round-robin at --threads=2, where a checkpoint is cut only
 # at the top of a round-robin cycle, and pins that the default run prints
-# the same MATCH lines as --threads=2.
+# the same MATCH lines as --threads=2. A third fixture has two files whose
+# matches fire one key frame apart, later file first, so a checkpoint cut
+# mid-cycle flips their MATCH order after a restore.
 #
 # Usage: crash_recovery_test.sh <path-to-vcdctl> [seed]
 set -u
@@ -200,8 +202,54 @@ for round in 1 2 3; do
   kill_restore_round "three-$round" "$WORK/ref3.matches" "${THREE[@]}" --threads=2
 done
 
+# --- two files whose matches fire one key frame apart ----------------------
+# A checkpoint cut mid-cycle (after file a fed its frame of the cycle, before
+# file b did) leaves a one frame ahead of b after a restore, so a's frame
+# k+1 is submitted before b's frame k. Here b's match fires at key frame 75
+# and a's at key frame 76, so such a cut prints a's MATCH line first. The
+# files use different GOPs to get there: a (GOP 4) has 38 key frames per
+# 5-s window and holds query 1 as its window 1; b (GOP 6) has 25 and holds
+# query 2 as its window 2. Both matches fire long after the kill rounds'
+# checkpoints. Frames are cut and spliced from generated Y4M clips.
+W=128 H=96
+# y4m_frames IN FIRST COUNT: the frame payload of frames [FIRST, FIRST+COUNT)
+# of IN (C420 frames behind a bare "FRAME" line).
+y4m_frames() {
+  local header
+  header=$(head -n 1 "$1")
+  local frame=$(( 6 + W * H * 3 / 2 ))
+  tail -c +$(( ${#header} + 1 + $2 * frame + 1 )) "$1" | head -c $(( $3 * frame ))
+}
+for s in 31 41 42; do
+  "$VCDCTL" generate --out="$WORK/g$s.y4m" --seconds=11 --seed=$s     --w=$W --h=$H >/dev/null || { echo "FAIL: fixture clip $s"; exit 1; }
+done
+{ head -n 1 "$WORK/g31.y4m"; y4m_frames "$WORK/g31.y4m" 0 152
+  y4m_frames "$WORK/g41.y4m" 0 152; y4m_frames "$WORK/g31.y4m" 152 16; } > "$WORK/a.y4m"
+{ head -n 1 "$WORK/g41.y4m"; y4m_frames "$WORK/g41.y4m" 0 152; } > "$WORK/qa.y4m"
+{ head -n 1 "$WORK/g31.y4m"; y4m_frames "$WORK/g31.y4m" 0 300
+  y4m_frames "$WORK/g42.y4m" 0 150; y4m_frames "$WORK/g31.y4m" 300 24; } > "$WORK/b.y4m"
+{ head -n 1 "$WORK/g42.y4m"; y4m_frames "$WORK/g42.y4m" 0 150; } > "$WORK/qb.y4m"
+for f in a:4 qa:4 b:6 qb:6; do
+  "$VCDCTL" encode "$WORK/${f%%:*}.y4m" "$WORK/${f%%:*}.vcds" --gop="${f##*:}"     >/dev/null || { echo "FAIL: encode ${f%%:*}"; exit 1; }
+done
+"$VCDCTL" build-queries "$WORK/ab.vcdq" 1="$WORK/qa.vcds" 2="$WORK/qb.vcds"   --k=128 >/dev/null || { echo "FAIL: build-queries (one frame apart)"; exit 1; }
+AB=("$WORK/ab.vcdq" "$WORK/a.vcds" "$WORK/b.vcds")
+"$VCDCTL" monitor "${AB[@]}" --threads=2 > "$WORK/ref-ab.out" \
+  || { echo "FAIL: one-frame-apart reference run"; exit 1; }
+grep '^MATCH' "$WORK/ref-ab.out" > "$WORK/ref-ab.matches"
+if [ "$(grep -c . "$WORK/ref-ab.matches")" -ne 2 ] ||
+   ! head -n 1 "$WORK/ref-ab.matches" | grep -q "query 2 on $WORK/b.vcds" ||
+   ! tail -n 1 "$WORK/ref-ab.matches" | grep -q "query 1 on $WORK/a.vcds"; then
+  echo "FAIL: one-frame-apart fixture broken: expected b's match, then a's:"
+  cat "$WORK/ref-ab.matches"
+  exit 1
+fi
+for round in 1 2 3; do
+  kill_restore_round "ab-$round" "$WORK/ref-ab.matches" "${AB[@]}" --threads=2
+done
+
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: kill-restore equivalence (1 and 3 files), graceful drain and torn-snapshot fallback hold (seed $SEED)"
+echo "OK: kill-restore equivalence (1, 2 and 3 files), graceful drain and torn-snapshot fallback hold (seed $SEED)"
 exit 0
