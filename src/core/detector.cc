@@ -12,21 +12,34 @@ namespace vcd::core {
 
 CopyDetector::CopyDetector(const DetectorConfig& config,
                            features::FrameFingerprinter fp,
-                           sketch::MinHashFamily family)
+                           sketch::MinHashFamily family, Portfolio* portfolio)
     : config_(config),
       fingerprinter_(std::make_unique<features::FrameFingerprinter>(std::move(fp))),
       family_(std::move(family)),
       sketcher_(&family_),
+      portfolio_(portfolio),
       metrics_(obs::DetectorMetrics::Create(config.metrics)) {}
 
 Result<std::unique_ptr<CopyDetector>> CopyDetector::Create(const DetectorConfig& config) {
+  auto portfolio = std::make_unique<Portfolio>(config);
+  auto det = Create(config, portfolio.get());
+  if (det.ok()) (*det)->owned_portfolio_ = std::move(portfolio);
+  return det;
+}
+
+Result<std::unique_ptr<CopyDetector>> CopyDetector::Create(const DetectorConfig& config,
+                                                           Portfolio* portfolio) {
   VCD_RETURN_IF_ERROR(config.Validate());
+  if (portfolio == nullptr || !portfolio->Serves(config)) {
+    return Status::InvalidArgument(
+        "portfolio serves another K, hash seed, lambda, window or index setting");
+  }
   auto fp = features::FrameFingerprinter::Create(config.fingerprint);
   if (!fp.ok()) return fp.status();
   auto family = sketch::MinHashFamily::Create(config.K, config.hash_seed);
   if (!family.ok()) return family.status();
   auto det = std::unique_ptr<CopyDetector>(new CopyDetector(
-      config, std::move(fp).value(), std::move(family).value()));
+      config, std::move(fp).value(), std::move(family).value(), portfolio));
   auto assembler = stream::BasicWindowAssembler::Create(config.window_seconds);
   if (!assembler.ok()) return assembler.status();
   det->assembler_.emplace(std::move(assembler).value());
@@ -68,18 +81,6 @@ Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
   return q;
 }
 
-Status ValidateQuerySketch(const DetectorConfig& config, const sketch::Sketch& sk,
-                           int length_frames, double duration_seconds) {
-  if (sk.K() != config.K) {
-    return Status::InvalidArgument("sketch K does not match detector config");
-  }
-  if (length_frames < 1) return Status::InvalidArgument("query has no frames");
-  if (!(duration_seconds > 0)) {
-    return Status::InvalidArgument("query duration must be positive");
-  }
-  return Status::OK();
-}
-
 Status CopyDetector::AddQuery(int id, const std::vector<vcd::video::DcFrame>& key_frames,
                               double duration_seconds) {
   if (key_frames.empty()) return Status::InvalidArgument("query has no key frames");
@@ -97,37 +98,31 @@ Status CopyDetector::AddQueryCells(int id, std::vector<features::CellId> ids,
 
 Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames,
                                     double duration_seconds) {
-  VCD_RETURN_IF_ERROR(ValidateQuerySketch(config_, sk, length_frames, duration_seconds));
-  if (id_to_ordinal_.count(id) != 0) {
-    return Status::AlreadyExists("query id " + std::to_string(id));
-  }
-  QueryRec rec;
-  rec.id = id;
-  rec.length_frames = length_frames;
-  rec.duration_seconds = duration_seconds;
-  rec.sketch = std::move(sk);
-  rec.max_windows = std::max(
-      1, static_cast<int>(std::ceil(config_.lambda * duration_seconds /
-                                    config_.window_seconds)));
-  if (config_.use_index && index_.has_value()) {
-    VCD_RETURN_IF_ERROR(
-        index_->Insert(static_cast<int>(queries_.size()), rec.sketch));
-  } else {
-    index_dirty_ = true;
-  }
-  global_max_windows_ = std::max(global_max_windows_, rec.max_windows);
-  span_bound_ = std::max(span_bound_, global_max_windows_);
-  queries_.push_back(std::move(rec));
-  query_window_cap_.push_back(queries_.back().max_windows);
-  id_to_ordinal_[id] = static_cast<int>(queries_.size()) - 1;
+  return portfolio_->AddQuerySketch(id, std::move(sk), length_frames, duration_seconds);
+}
+
+std::vector<std::tuple<int, int, double, sketch::Sketch>>
+CopyDetector::ExportQueries() const {
+  return portfolio_->ExportQueries();
+}
+
+Status CopyDetector::RemoveQuery(int id) { return portfolio_->RemoveQuery(id); }
+
+void CopyDetector::SizeFromPortfolio() {
+  const int max_windows = portfolio_->global_max_windows();
+  span_bound_ = std::max(span_bound_, max_windows);
+  // The λL bound rises only with a subscription, which adds an ordinal.
+  const size_t n = static_cast<size_t>(portfolio_->num_ordinals());
+  if (n == suppress_until_.size()) return;
+  suppress_until_.resize(n, -1.0);
+  scratch_.window_sig.resize(n, sketch::SignaturePool::kInvalidHandle);
   // Structural bound for the flattened cross-candidate sweep: a chain
-  // holds at most global_max_windows_ + 1 live candidates, each carrying
-  // at most one signature per query. Reserving at subscription time keeps
+  // holds at most global_max_windows + 1 live candidates, each carrying
+  // at most one signature per query. Reserving it up front keeps
   // TestPooledBitSeqBatch allocation-free in steady state — stochastic
   // pruning makes the flat total fluctuate, so a warmup high-water mark
   // alone does not bound it.
-  const size_t bound =
-      static_cast<size_t>(global_max_windows_ + 1) * queries_.size();
+  const size_t bound = static_cast<size_t>(max_windows + 1) * n;
   scratch_.handle_buf.reserve(bound);
   scratch_.eq_buf.reserve(bound);
   scratch_.less_buf.reserve(bound);
@@ -136,64 +131,15 @@ Status CopyDetector::AddQuerySketch(int id, sketch::Sketch sk, int length_frames
   // window leaves a query out of R_L — events warmup may never see, so
   // these buffers cannot rely on a high-water mark. One entry per query
   // bounds the merge union and the window's completions.
-  scratch_.merge_sigs.reserve(queries_.size());
-  scratch_.merge_or_idx.reserve(queries_.size());
-  scratch_.window_sig.push_back(sketch::SignaturePool::kInvalidHandle);
-  scratch_.window_sig_set.reserve(queries_.size());
-  scratch_.or_dst.reserve(queries_.size());
-  scratch_.or_src.reserve(queries_.size());
-  scratch_.or_less.reserve(queries_.size());
-  scratch_.merge_related.reserve(queries_.size());
-  scratch_.related.reserve(queries_.size());
-  scratch_.related_seen.reserve((queries_.size() + 63) / 64);
-  return Status::OK();
-}
-
-std::vector<std::tuple<int, int, double, sketch::Sketch>>
-CopyDetector::ExportQueries() const {
-  std::vector<std::tuple<int, int, double, sketch::Sketch>> out;
-  for (const QueryRec& q : queries_) {
-    if (!q.active) continue;
-    out.emplace_back(q.id, q.length_frames, q.duration_seconds, q.sketch);
-  }
-  return out;
-}
-
-Status CopyDetector::RemoveQuery(int id) {
-  auto it = id_to_ordinal_.find(id);
-  if (it == id_to_ordinal_.end()) {
-    return Status::NotFound("query id " + std::to_string(id));
-  }
-  const int ordinal = it->second;
-  QueryRec& q = queries_[static_cast<size_t>(ordinal)];
-  if (config_.use_index && index_.has_value()) {
-    VCD_RETURN_IF_ERROR(index_->Remove(ordinal, q.sketch));
-  }
-  q.active = false;
-  q.sketch = sketch::Sketch{};  // every reader checks `active` first
-  query_window_cap_[static_cast<size_t>(ordinal)] = 0;
-  id_to_ordinal_.erase(it);
-  // span_bound_ stays: live candidates may have been built under the old
-  // bound (RecordWindowStats lowers it once they are gone).
-  global_max_windows_ = 1;
-  for (const QueryRec& r : queries_) {
-    if (r.active) global_max_windows_ = std::max(global_max_windows_, r.max_windows);
-  }
-  return Status::OK();
-}
-
-Status CopyDetector::RebuildIndex() {
-  index_.reset();
-  index_dirty_ = false;
-  if (!config_.use_index) return Status::OK();
-  std::vector<index::HashQueryIndex::Query> active;
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    if (queries_[q].active) active.push_back({static_cast<int>(q), &queries_[q].sketch});
-  }
-  auto idx = index::HashQueryIndex::Build(config_.K, active);
-  if (!idx.ok()) return idx.status();
-  index_.emplace(std::move(idx).value());
-  return Status::OK();
+  scratch_.merge_sigs.reserve(n);
+  scratch_.merge_or_idx.reserve(n);
+  scratch_.window_sig_set.reserve(n);
+  scratch_.or_dst.reserve(n);
+  scratch_.or_src.reserve(n);
+  scratch_.or_less.reserve(n);
+  scratch_.merge_related.reserve(n);
+  scratch_.related.reserve(n);
+  scratch_.related_seen.reserve((n + 63) / 64);
 }
 
 Status CopyDetector::ProcessKeyFrame(const vcd::video::DcFrame& frame) {
@@ -211,7 +157,7 @@ Status CopyDetector::ProcessFingerprint(int64_t frame_index, double timestamp,
     ++stats_.out_of_order_frames;
     return ProcessDegraded(frame_index, timestamp);
   }
-  if (index_dirty_) VCD_RETURN_IF_ERROR(RebuildIndex());
+  VCD_RETURN_IF_ERROR(portfolio_->EnsureIndex());
   saw_frame_ = true;
   max_timestamp_ = timestamp;
   ++stats_.key_frames;
@@ -225,7 +171,7 @@ Status CopyDetector::ProcessFingerprint(int64_t frame_index, double timestamp,
 }
 
 Status CopyDetector::ProcessDegraded(int64_t frame_index, double timestamp) {
-  if (index_dirty_) VCD_RETURN_IF_ERROR(RebuildIndex());
+  VCD_RETURN_IF_ERROR(portfolio_->EnsureIndex());
   // A skewed timestamp must not move the window clock backwards (or jump
   // it forward past genuine frames): clamp into the observed range.
   if (saw_frame_ && timestamp < max_timestamp_) timestamp = max_timestamp_;
@@ -240,7 +186,7 @@ Status CopyDetector::ProcessDegraded(int64_t frame_index, double timestamp) {
 }
 
 Status CopyDetector::Finish() {
-  if (index_dirty_) VCD_RETURN_IF_ERROR(RebuildIndex());
+  VCD_RETURN_IF_ERROR(portfolio_->EnsureIndex());
   if (assembler_->Flush(&scratch_.window)) ProcessWindow(scratch_.window);
   return Status::OK();
 }
@@ -254,7 +200,7 @@ void CopyDetector::ResetStream() {
   pseq_sketch_.Clear(retire_sketch);
   pgeo_bit_.Clear(retire_bit);
   pgeo_sketch_.Clear(retire_sketch);
-  span_bound_ = global_max_windows_;
+  span_bound_ = portfolio_->global_max_windows();
   matches_.clear();
   stats_ = DetectorStats{};
   // Registry counters are cumulative across stream resets (a monitoring
@@ -263,19 +209,20 @@ void CopyDetector::ResetStream() {
   last_cand_count_ = 0;
   max_timestamp_ = 0.0;
   saw_frame_ = false;
-  for (QueryRec& q : queries_) q.suppress_until = -1.0;
+  std::fill(suppress_until_.begin(), suppress_until_.end(), -1.0);
 }
 
 void CopyDetector::EmitMatch(int q, int64_t start_frame, int64_t end_frame,
                              double start_time, double end_time, double sim) {
-  QueryRec& rec = queries_[static_cast<size_t>(q)];
+  const Portfolio::QueryRec& rec = portfolio_->query(q);
+  double& suppress_until = suppress_until_[static_cast<size_t>(q)];
   // Candidates containing the copy can stay above threshold until they
   // expire at λL, so the default mute interval covers that whole tail.
   const double cooldown = config_.report_cooldown_seconds < 0
                               ? config_.lambda * rec.duration_seconds
                               : config_.report_cooldown_seconds;
-  if (cooldown > 0 && end_time < rec.suppress_until) return;
-  rec.suppress_until = end_time + cooldown;
+  if (cooldown > 0 && end_time < suppress_until) return;
+  suppress_until = end_time + cooldown;
   Match m;
   m.query_id = rec.id;
   m.start_frame = start_frame;
@@ -297,19 +244,21 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   c->start_time = window.start_time;
   c->end_time = window.end_time;
   c->sigs.clear();
+  const Portfolio& portfolio = *portfolio_;
   // R_L's size varies with content, so a warmup high-water mark does not
   // bound a shell's list; one entry per query does (DESIGN.md §11).
-  c->sigs.reserve(queries_.size());
+  c->sigs.reserve(static_cast<size_t>(portfolio.num_ordinals()));
   sketch::SignaturePool& pool = *sig_pool_;
   if (config_.use_index) {
-    if (!index_.has_value()) return;
+    const index::HashQueryIndex* index = portfolio.index();
+    if (index == nullptr) return;
     // R_L, built query-major (DESIGN.md §6): probe-time prunes are not
     // counted, and bitsig_builds counts the survivors only.
     VCD_OBS_SPAN(metrics_.probe_ns);
-    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
+    index->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
     for (int q : scratch_.related) {
       const sketch::SignaturePool::Handle h = pool.Allocate();
-      pool.BuildFromSketches(h, wsk, queries_[static_cast<size_t>(q)].sketch);
+      pool.BuildFromSketches(h, wsk, portfolio.query(q).sketch);
       if (config_.enable_pruning && !pool.SatisfiesLemma2(h, config_.delta)) {
         pool.Free(h);
         continue;
@@ -318,17 +267,17 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
       c->sigs.push_back(PooledSigRef{q, h});
     }
   } else {
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      if (!queries_[q].active) continue;
+    for (int q = 0; q < portfolio.num_ordinals(); ++q) {
+      if (!portfolio.query(q).active) continue;
       const sketch::SignaturePool::Handle h = pool.Allocate();
-      pool.BuildFromSketches(h, wsk, queries_[q].sketch);
+      pool.BuildFromSketches(h, wsk, portfolio.query(q).sketch);
       ++stats_.bitsig_builds;
       if (config_.enable_pruning && !pool.SatisfiesLemma2(h, config_.delta)) {
         ++stats_.candidates_pruned;
         pool.Free(h);
         continue;
       }
-      c->sigs.push_back(PooledSigRef{static_cast<int>(q), h});
+      c->sigs.push_back(PooledSigRef{q, h});
     }
   }
 }
@@ -344,9 +293,10 @@ void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
   c->related.clear();
   c->sketch = sketch_pool_->Allocate();  // shell arrives retired (kInvalid)
   sketch_pool_->Assign(c->sketch, wsk);
-  if (config_.use_index && index_.has_value()) {
+  const index::HashQueryIndex* index = portfolio_->index();
+  if (config_.use_index && index != nullptr) {
     VCD_OBS_SPAN(metrics_.probe_ns);
-    index_->ProbeRelatedInto(wsk, &scratch_.related_seen, &c->related);
+    index->ProbeRelatedInto(wsk, &scratch_.related_seen, &c->related);
   }
 }
 
@@ -468,7 +418,7 @@ void CopyDetector::MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
   dst.clear();
   src.clear();
   const int num_windows = older.num_windows + fresh.num_windows;
-  const int* caps = query_window_cap_.data();
+  const int* caps = portfolio_->window_caps();
   // A query only fresh tracks is not cloned: fresh keeps it, as the suffix
   // that starts at this window.
   size_t out = 0;
@@ -521,7 +471,7 @@ sketch::SignaturePool::Handle CopyDetector::WindowSignature(
     // Not counted in bitsig_builds, which keeps Fig. 5's meaning (R_L
     // survivors); the cost shows in the combine span.
     h = sig_pool_->Allocate();
-    sig_pool_->BuildFromSketches(h, wsk, queries_[static_cast<size_t>(q)].sketch);
+    sig_pool_->BuildFromSketches(h, wsk, portfolio_->query(q).sketch);
     scratch_.window_sig_set.push_back(q);
   }
   return h;
@@ -600,7 +550,7 @@ bool CopyDetector::TestPooledBitCandCounted(PooledBitCand& c, const int* eq,
   // Same arithmetic as BitSignature::SatisfiesLemma2 / Similarity.
   const double less_bound =
       static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
-  const int* caps = query_window_cap_.data();
+  const int* caps = portfolio_->window_caps();
   size_t out = 0;
   for (size_t i = 0; i < n; ++i) {
     PooledSigRef& s = c.sigs[i];
@@ -627,8 +577,9 @@ bool CopyDetector::TestPooledBitCandCounted(PooledBitCand& c, const int* eq,
 }
 
 bool CopyDetector::TestPooledSketchCand(PooledSketchCand& c) {
+  const Portfolio& portfolio = *portfolio_;
   auto test_one = [&](int q_ord) {
-    const QueryRec& q = queries_[static_cast<size_t>(q_ord)];
+    const Portfolio::QueryRec& q = portfolio.query(q_ord);
     if (!q.active) return;
     if (c.num_windows > q.max_windows) return;
     ++stats_.sketch_compares;
@@ -640,7 +591,7 @@ bool CopyDetector::TestPooledSketchCand(PooledSketchCand& c) {
   if (config_.use_index) {
     for (int q : c.related) test_one(q);
   } else {
-    for (size_t q = 0; q < queries_.size(); ++q) test_one(static_cast<int>(q));
+    for (int q = 0; q < portfolio.num_ordinals(); ++q) test_one(q);
   }
   return true;
 }
@@ -686,6 +637,7 @@ void CopyDetector::RetirePooledSketch(PooledSketchCand* c) {
 
 void CopyDetector::ProcessWindow(const stream::BasicWindow& window) {
   VCD_OBS_SPAN(metrics_.window_process_ns);
+  SizeFromPortfolio();
   const int64_t window_index = stats_.windows;  // 0-based, pre-increment
   ++stats_.windows;
   if (window.degraded) {
@@ -806,7 +758,7 @@ void CopyDetector::RecordWindowStats() {
   };
   const auto count_sketch = [&](const auto& c) {
     sig_count += config_.use_index ? static_cast<int64_t>(c.related.size())
-                                   : static_cast<int64_t>(queries_.size());
+                                   : static_cast<int64_t>(portfolio_->num_ordinals());
     ++cand_count;
     longest = std::max(longest, c.num_windows);
   };
@@ -822,7 +774,8 @@ void CopyDetector::RecordWindowStats() {
   stats_.signatures_per_window.Add(static_cast<double>(sig_count));
   stats_.candidates_per_window.Add(static_cast<double>(cand_count));
   last_cand_count_ = cand_count;
-  if (longest <= global_max_windows_) span_bound_ = global_max_windows_;
+  const int max_windows = portfolio_->global_max_windows();
+  if (longest <= max_windows) span_bound_ = max_windows;
   const size_t slots = bit ? sig_pool_->live_count() : sketch_pool_->live_count();
   stats_.pool_slots_per_window.Add(static_cast<double>(slots));
 }
@@ -876,25 +829,8 @@ void CopyDetector::PublishWindowMetrics() {
 }
 
 Status CopyDetector::ValidateState() const {
-  // The packed window-cap mirror must track queries_ exactly: the hot test
-  // loop trusts it for both the active check and the λL expiry bound.
-  if (query_window_cap_.size() != queries_.size()) {
-    return Status::Internal("query_window_cap_ size out of sync with queries_");
-  }
-  size_t active = 0;
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    const int expect = queries_[q].active ? queries_[q].max_windows : 0;
-    if (query_window_cap_[q] != expect) {
-      return Status::Internal("query_window_cap_[" + std::to_string(q) +
-                              "] out of sync with its QueryRec");
-    }
-    if (queries_[q].active) {
-      ++active;
-    } else if (queries_[q].sketch.mins.capacity() != 0) {
-      return Status::Internal("removed query ordinal " + std::to_string(q) +
-                              " still holds its sketch");
-    }
-  }
+  VCD_RETURN_IF_ERROR(portfolio_->ValidateState());
+  const int num_ordinals = portfolio_->num_ordinals();
   const auto check_span = [&](int num_windows) -> Status {
     if (num_windows < 1 || num_windows > span_bound_) {
       return Status::Internal("candidate num_windows " + std::to_string(num_windows) +
@@ -904,7 +840,7 @@ Status CopyDetector::ValidateState() const {
     return Status::OK();
   };
   const auto check_ordinals = [&](int q, int prev_q) -> Status {
-    if (q < 0 || q >= static_cast<int>(queries_.size())) {
+    if (q < 0 || q >= num_ordinals) {
       return Status::Internal("signature for out-of-range query ordinal " +
                               std::to_string(q));
     }
@@ -940,7 +876,7 @@ Status CopyDetector::ValidateState() const {
     ++sketch_handles;
     int prev_q = -1;
     for (int q : c.related) {
-      if (q < 0 || q >= static_cast<int>(queries_.size())) {
+      if (q < 0 || q >= num_ordinals) {
         return Status::Internal("related list has out-of-range query ordinal " +
                                 std::to_string(q));
       }
@@ -985,30 +921,6 @@ Status CopyDetector::ValidateState() const {
           " handles held by candidates");
     }
   }
-  if (index_.has_value()) {
-    // Validate() proves every row holds the same ordinals, once each; that
-    // set must be exactly the active ordinals, each at its sketch's values.
-    VCD_RETURN_IF_ERROR(index_->Validate());
-    if (static_cast<size_t>(index_->num_queries()) != active) {
-      return Status::Internal("index holds " + std::to_string(index_->num_queries()) +
-                              " queries, " + std::to_string(active) + " are active");
-    }
-    for (int r = 0; r < index_->K(); ++r) {
-      const std::vector<uint64_t>& values = index_->values(r);
-      const std::vector<int32_t>& ordinals = index_->ordinals(r);
-      for (size_t j = 0; j < values.size(); ++j) {
-        const auto q = static_cast<size_t>(ordinals[j]);
-        if (q >= queries_.size() || !queries_[q].active) {
-          return Status::Internal("index row " + std::to_string(r) +
-                                  " holds removed query ordinal " + std::to_string(q));
-        }
-        if (values[j] != queries_[q].sketch.mins[static_cast<size_t>(r)]) {
-          return Status::Internal("index row " + std::to_string(r) + " holds ordinal " +
-                                  std::to_string(q) + " at a value its sketch lacks");
-        }
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -1019,9 +931,14 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
   st.saw_frame = saw_frame_;
   st.max_timestamp = max_timestamp_;
   st.assembler = assembler_->ExportCkpt();
-  for (const QueryRec& q : queries_) {
-    if (!q.active) continue;
-    st.queries.push_back(DetectorCkptState::QueryState{q.id, q.suppress_until});
+  for (int q = 0; q < portfolio_->num_ordinals(); ++q) {
+    if (!portfolio_->query(q).active) continue;
+    // An ordinal added since the last window has no cooldown entry yet.
+    const double suppress_until = static_cast<size_t>(q) < suppress_until_.size()
+                                      ? suppress_until_[static_cast<size_t>(q)]
+                                      : -1.0;
+    st.queries.push_back(
+        DetectorCkptState::QueryState{portfolio_->query(q).id, suppress_until});
   }
   st.stats = stats_;
   st.matches = matches_;
@@ -1044,7 +961,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     for (const PooledSigRef& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
-          queries_[static_cast<size_t>(s.q)].id,
+          portfolio_->query(s.q).id,
           words_of(sig_pool_->ToBitSignature(s.sig))});
     }
     st.candidates.push_back(std::move(out));
@@ -1053,7 +970,7 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     CkptCandidate out = base_of(c, level);
     out.mins = sketch_pool_->ToSketch(c.sketch).mins;
     for (int q : c.related) {
-      out.related_ids.push_back(queries_[static_cast<size_t>(q)].id);
+      out.related_ids.push_back(portfolio_->query(q).id);
     }
     st.candidates.push_back(std::move(out));
   };
@@ -1085,14 +1002,15 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
     return Status::FailedPrecondition(
         "RestoreCkptState requires a detector that has seen no stream frames");
   }
+  SizeFromPortfolio();
   for (const DetectorCkptState::QueryState& qs : st.queries) {
-    const int q = OrdinalOf(qs.id);
+    const int q = portfolio_->OrdinalOf(qs.id);
     if (q < 0) {
       return Status::FailedPrecondition(
           "snapshot references query id " + std::to_string(qs.id) +
           " which is not subscribed on this detector");
     }
-    queries_[static_cast<size_t>(q)].suppress_until = qs.suppress_until;
+    suppress_until_[static_cast<size_t>(q)] = qs.suppress_until;
   }
   saw_frame_ = st.saw_frame;
   max_timestamp_ = st.max_timestamp;
@@ -1109,7 +1027,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   // The snapshot does not record the bound its candidates were built under;
   // a candidate longer than today's bound outlived a RemoveQuery (see
   // span_bound_), so the restored bound covers it.
-  span_bound_ = global_max_windows_;
+  span_bound_ = portfolio_->global_max_windows();
   for (const CkptCandidate& c : st.candidates) {
     span_bound_ = std::max(span_bound_, c.num_windows);
     if (seq != (c.ladder_level < 0)) {
@@ -1141,7 +1059,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
       out.start_time = c.start_time;
       out.end_time = c.end_time;
       for (const CkptCandidate::Sig& s : c.sigs) {
-        const int q = OrdinalOf(s.query_id);
+        const int q = portfolio_->OrdinalOf(s.query_id);
         if (q < 0) continue;  // query removed since the snapshot
         const sketch::SignaturePool::Handle h = sig_pool_->Allocate();
         for (size_t w = 0; w < sig_words; ++w) {
@@ -1170,7 +1088,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
       }
       std::vector<int> related;
       for (int id : c.related_ids) {
-        const int q = OrdinalOf(id);
+        const int q = portfolio_->OrdinalOf(id);
         if (q >= 0) related.push_back(q);
       }
       std::sort(related.begin(), related.end());

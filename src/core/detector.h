@@ -5,13 +5,12 @@
 #include <tuple>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
 #include "core/match.h"
+#include "core/portfolio.h"
 #include "features/fingerprint.h"
-#include "index/hash_query_index.h"
 #include "obs/pipeline_metrics.h"
 #include "sketch/bit_signature.h"
 #include "sketch/minhash.h"
@@ -81,9 +80,9 @@ struct CkptCandidate {
 
 /// \brief Full mid-stream detector state for checkpoint/restore.
 ///
-/// Everything a fresh detector (same config, same queries re-added in the
-/// same order) needs to continue producing byte-identical matches and
-/// stats: the clock-skew guard, the partially accumulated basic window,
+/// Everything a fresh detector (same config, its portfolio holding the same
+/// queries in export order) needs to continue producing byte-identical
+/// matches and stats: the clock-skew guard, the partially accumulated basic window,
 /// per-query report-cooldown deadlines, all counters/RunningStats, the
 /// match log, and every live candidate.
 struct DetectorCkptState {
@@ -143,13 +142,6 @@ Result<PreparedQuery> PrepareQuery(const DetectorConfig& config,
                                    const std::vector<vcd::video::DcFrame>& key_frames,
                                    double duration_seconds);
 
-/// The checks CopyDetector::AddQuerySketch applies to a subscription: the
-/// sketch's K equals \p config's, the query has at least one frame and a
-/// positive duration. A multi-stream engine calls it before changing any
-/// state, so a query every stream would refuse never enters its portfolio.
-Status ValidateQuerySketch(const DetectorConfig& config, const sketch::Sketch& sk,
-                           int length_frames, double duration_seconds);
-
 /// \brief Detects copies of subscribed query videos on a key-frame stream.
 ///
 /// Typical use:
@@ -160,12 +152,26 @@ Status ValidateQuerySketch(const DetectorConfig& config, const sketch::Sketch& s
 /// det->Finish();
 /// for (const Match& m : det->matches()) ...
 /// ```
+///
+/// The query table lives in a core::Portfolio. A detector made by
+/// Create(config) owns its own; one made by Create(config, portfolio)
+/// shares one with every other detector on it, as an executor shard's
+/// streams do. Either way the detector keeps only per-stream state:
+/// candidates, their pools, scratch, the span bound and the per-query
+/// report cooldowns, sized from the portfolio at every basic window.
 class CopyDetector {
  public:
-  /// Creates a detector; fails on invalid config.
+  /// Creates a detector that owns its portfolio; fails on invalid config.
   static Result<std::unique_ptr<CopyDetector>> Create(const DetectorConfig& config);
 
-  /// Subscribes a query from its key-frame DC maps. \p duration_seconds is
+  /// Creates a detector on \p portfolio, which must outlive it and must
+  /// Serve() \p config. Every detector on one portfolio runs on one thread,
+  /// and a subscription change on it reaches all of them at their next frame.
+  static Result<std::unique_ptr<CopyDetector>> Create(const DetectorConfig& config,
+                                                      Portfolio* portfolio);
+
+  /// Subscribes a query from its key-frame DC maps, on this detector's
+  /// portfolio (shared: on every detector sharing it). \p duration_seconds is
   /// the query's playback length L (used for the λL expiry bound and report
   /// cooldown); if ≤ 0 it is inferred from the key-frame timestamps.
   Status AddQuery(int id, const std::vector<vcd::video::DcFrame>& key_frames,
@@ -190,9 +196,6 @@ class CopyDetector {
   /// already-built state for it but stop matching it; its ordinal stays
   /// reserved.
   Status RemoveQuery(int id);
-
-  /// Number of subscribed queries.
-  int num_queries() const { return static_cast<int>(queries_.size()); }
 
   /// Feeds one key frame of the monitored stream. A frame flagged
   /// `degraded` (or one whose timestamp runs backwards — clock skew)
@@ -245,19 +248,11 @@ class CopyDetector {
   /// lowered the bound), signature lists strictly
   /// sorted by query ordinal with in-range ordinals, related-query lists
   /// strictly sorted, and every bit signature well-formed with K matching
-  /// the config (BitSignature::Validate). It also checks the query table:
-  /// removed queries hold no sketch, and the Hash-Query index holds each
-  /// active ordinal exactly once per row r, at value `sketch.mins[r]`, and
-  /// no removed ordinal. Returns the first violation. Called from tests
-  /// and, when config().validate_state is set, after every processed window.
+  /// the config (BitSignature::Validate). It also checks the query table
+  /// and its index (Portfolio::ValidateState). Returns the first violation.
+  /// Called from tests and, when config().validate_state is set, after
+  /// every processed window.
   Status ValidateState() const;
-
-  /// The Hash-Query index, or null before it is first built — exists only
-  /// so tests can corrupt it and assert that ValidateState() reports it.
-  /// Library code must not call this.
-  index::HashQueryIndex* mutable_index_for_test() {
-    return index_.has_value() ? &*index_ : nullptr;
-  }
 
   /// \brief Materializes the full mid-stream state for a checkpoint.
   ///
@@ -269,8 +264,9 @@ class CopyDetector {
   /// \brief Restores state captured by ExportCkptState.
   ///
   /// Preconditions: this detector is freshly created with the same
-  /// parameters and the snapshot's queries were re-added in export order
-  /// (so ordinals line up); no stream frame has been processed. Candidate
+  /// parameters, its portfolio holds the snapshot's queries in export order
+  /// (a sharing portfolio may hold them for other streams already), and no
+  /// stream frame has been processed. The portfolio is only read. Candidate
   /// arenas and free-lists are rebuilt by re-allocating each restored
   /// signature/sketch. Ends with a full ValidateState() sweep; rejects
   /// unknown query ids and malformed payloads with a typed Status.
@@ -281,18 +277,6 @@ class CopyDetector {
   const features::FrameFingerprinter& fingerprinter() const { return *fingerprinter_; }
 
  private:
-  /// One subscribed query.
-  struct QueryRec {
-    int id = 0;               ///< subscriber-assigned query id
-    int length_frames = 0;    ///< query length L in key frames
-    double duration_seconds = 0.0;
-    /// Freed by RemoveQuery: only active records hold their K values.
-    sketch::Sketch sketch;  // NOLINT(vcd-pooled-hotpath): per-query, cold
-    int max_windows = 0;      ///< ⌈λL/w⌉
-    double suppress_until = -1.0;  ///< stream time before which reports are muted
-    bool active = true;
-  };
-
   /// One (query ordinal, SignaturePool slot) pair of a pooled candidate.
   struct PooledSigRef {
     int q = 0;
@@ -345,10 +329,12 @@ class CopyDetector {
   };
 
   CopyDetector(const DetectorConfig& config, features::FrameFingerprinter fp,
-               sketch::MinHashFamily family);
+               sketch::MinHashFamily family, Portfolio* portfolio);
 
-  /// Rebuilds the Hash-Query index from the active queries.
-  Status RebuildIndex();
+  /// Sizes the per-ordinal state (report cooldowns, completion table,
+  /// scratch reservations) to the portfolio and raises span_bound_ to its
+  /// λL bound. A no-op, allocation-free, while the portfolio is unchanged.
+  void SizeFromPortfolio();
 
   /// Processes one completed basic window: combines it into the candidate
   /// structure and tests the candidates. Allocation-free at steady state.
@@ -419,25 +405,21 @@ class CopyDetector {
   void RetirePooledSketch(PooledSketchCand* c);
 
   /// The λL window cap with the QoS degrade cap applied: min(global, knob)
-  /// when the knob is set. Always <= global_max_windows_, so the expiry
-  /// bound ValidateState checks still holds through degrade/recover cycles.
+  /// when the knob is set. Always <= the portfolio's global bound, so the
+  /// expiry bound ValidateState checks still holds through degrade/recover
+  /// cycles.
   int EffectiveMaxWindows() const {
+    const int global = portfolio_->global_max_windows();
     return degrade_.max_candidate_windows > 0 &&
-                   degrade_.max_candidate_windows < global_max_windows_
+                   degrade_.max_candidate_windows < global
                ? degrade_.max_candidate_windows
-               : global_max_windows_;
+               : global;
   }
 
   /// Geometric suffix-sweep visit budget: 1 (newest block only) while the
   /// QoS degrade disabled the cumulative sweep, unlimited otherwise.
   int GeoMaxVisits() const {
     return degrade_.disable_geometric ? 1 : std::numeric_limits<int>::max();
-  }
-
-  /// O(1) id → ordinal lookup over active queries; -1 when absent.
-  int OrdinalOf(int query_id) const {
-    auto it = id_to_ordinal_.find(query_id);
-    return it == id_to_ordinal_.end() ? -1 : it->second;
   }
 
   /// Emits a match for query ordinal \p q unless muted.
@@ -476,25 +458,19 @@ class CopyDetector {
   sketch::Sketcher sketcher_;
   std::optional<stream::BasicWindowAssembler> assembler_;
 
-  std::vector<QueryRec> queries_;
-  /// Per-ordinal λL window cap, 0 once unsubscribed — a flat mirror of
-  /// queries_[q].active/max_windows so the per-signature expiry check in the
-  /// hot test loop reads a packed int array instead of the QueryRec structs.
-  std::vector<int> query_window_cap_;
-  /// id → ordinal of the *active* record with that id (ids of removed
-  /// queries are erased; re-adding an id maps it to its new ordinal).
-  std::unordered_map<int, int> id_to_ordinal_;
-  std::optional<index::HashQueryIndex> index_;
-  bool index_dirty_ = false;
-  int global_max_windows_ = 1;
+  /// Set by Create(config) only; portfolio_ points at it then.
+  std::unique_ptr<Portfolio> owned_portfolio_;
+  Portfolio* portfolio_ = nullptr;
+  /// Per query ordinal: stream time before which reports are muted.
+  std::vector<double> suppress_until_;
   /// The λL bound ValidateState checks candidate spans against: the largest
-  /// global_max_windows_ any live candidate was built under. It exceeds
-  /// global_max_windows_ only after a RemoveQuery lowered the bound. Then
-  /// Sequential order holds longer candidates until its next Step expires
-  /// them. Geometric order keeps longer ladder blocks, which it never tests
-  /// again; one leaves the ladder when a carry reaches its level (the merged
-  /// carry is too long and is retired) or the stream resets. Once no live
-  /// candidate is longer than global_max_windows_, it drops back.
+  /// portfolio bound (Portfolio::global_max_windows) any live candidate was
+  /// built under. It exceeds that bound only after a RemoveQuery lowered it.
+  /// Then Sequential order holds longer candidates until its next Step
+  /// expires them. Geometric order keeps longer ladder blocks, which it
+  /// never tests again; one leaves the ladder when a carry reaches its level
+  /// (the merged carry is too long and is retired) or the stream resets.
+  /// Once no live candidate is longer than the bound, it drops back.
   int span_bound_ = 1;
   /// Clock-skew guard: the highest timestamp seen on the stream. Frames
   /// arriving behind it are demoted to degraded (their fingerprint would

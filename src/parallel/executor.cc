@@ -39,7 +39,7 @@ StreamExecutor::StreamExecutor(const core::DetectorConfig& config,
   }
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, parallel, registry_));
+    shards_.push_back(std::make_unique<Shard>(i, config_, parallel, registry_));
   }
   qos_metrics_ = obs::QosMetrics::Create(registry_, n);
   if (pconfig_.qos.enabled) {
@@ -210,19 +210,18 @@ void StreamExecutor::ReapOrphansLocked() {
 Status StreamExecutor::AddQuerySketchLocked(int id, const sketch::Sketch& sk,
                                             int length_frames,
                                             double duration_seconds) {
-  // Every stream's detector would refuse an invalid query, poisoning each
-  // later OpenStream; reject it here, before anything changes.
+  // Every shard's portfolio would refuse an invalid query as a sticky
+  // error; reject it here, before anything changes.
   VCD_RETURN_IF_ERROR(
       core::ValidateQuerySketch(config_, sk, length_frames, duration_seconds));
-  for (const PortfolioEntry& e : portfolio_) {
-    if (e.id == id) return Status::AlreadyExists("query id " + std::to_string(id));
+  if (!query_ids_.insert(id).second) {
+    return Status::AlreadyExists("query id " + std::to_string(id));
   }
-  portfolio_.push_back(PortfolioEntry{id, length_frames, duration_seconds, sk});
   // Fan out while still holding control_mu_, so every shard sees portfolio
   // commands and stream installs in the same relative order.
   for (auto& shard : shards_) {
-    shard->SubmitCommand([id, sk, length_frames, duration_seconds](Shard* s) {
-      s->ApplyAddQuery(id, sk, length_frames, duration_seconds);
+    shard->SubmitCommand([id, sk, length_frames, duration_seconds](Shard* s) mutable {
+      s->ApplyAddQuery(id, std::move(sk), length_frames, duration_seconds);
     });
   }
   return Status::OK();
@@ -253,8 +252,7 @@ Status StreamExecutor::ImportQueries(const core::QueryDb& db) {
   MutexLock lock(control_mu_);
   // All or nothing: check every record, against the portfolio and against
   // each other, before the first one is subscribed.
-  std::set<int> ids;
-  for (const PortfolioEntry& e : portfolio_) ids.insert(e.id);
+  std::set<int> ids = query_ids_;
   for (const core::StoredQuery& q : db.queries) {
     VCD_RETURN_IF_ERROR(core::ValidateQuerySketch(config_, q.sketch, q.length_frames,
                                                   q.duration_seconds));
@@ -271,15 +269,9 @@ Status StreamExecutor::ImportQueries(const core::QueryDb& db) {
 
 Status StreamExecutor::RemoveQuery(int id) {
   MutexLock lock(control_mu_);
-  bool found = false;
-  for (size_t i = 0; i < portfolio_.size(); ++i) {
-    if (portfolio_[i].id == id) {
-      portfolio_.erase(portfolio_.begin() + static_cast<long>(i));
-      found = true;
-      break;
-    }
+  if (query_ids_.erase(id) == 0) {
+    return Status::NotFound("query id " + std::to_string(id));
   }
-  if (!found) return Status::NotFound("query id " + std::to_string(id));
   for (auto& shard : shards_) {
     shard->SubmitCommand([id](Shard* s) { s->ApplyRemoveQuery(id); });
   }
@@ -288,30 +280,23 @@ Status StreamExecutor::RemoveQuery(int id) {
 
 int StreamExecutor::num_queries() const {
   MutexLock lock(control_mu_);
-  return static_cast<int>(portfolio_.size());
+  return static_cast<int>(query_ids_.size());
 }
 
 Result<int> StreamExecutor::OpenStream(std::string name,
                                        qos::Priority priority) {
   MutexLock lock(control_mu_);
   ReapOrphansLocked();
-  auto det = core::CopyDetector::Create(config_);
-  if (!det.ok()) return det.status();
-  std::shared_ptr<core::CopyDetector> detector = std::move(*det);
-  for (const PortfolioEntry& e : portfolio_) {
-    VCD_RETURN_IF_ERROR(detector->AddQuerySketch(e.id, e.sketch, e.length_frames,
-                                                 e.duration_seconds));
-  }
   const int id = next_stream_id_.fetch_add(1, std::memory_order_acq_rel);
   num_open_streams_.fetch_add(1, std::memory_order_relaxed);
   VCD_OBS_SET(metrics_.streams_open,
               num_open_streams_.load(std::memory_order_relaxed));
   priorities_[id] = priority;
   shard_for(id)->RegisterStreamQos(id, priority);
-  shard_for(id)->SubmitCommand(
-      [id, name = std::move(name), detector](Shard* s) mutable {
-        s->InstallStream(id, std::move(name), std::move(detector));
-      });
+  // The shard builds the detector on its own portfolio.
+  shard_for(id)->SubmitCommand([id, name = std::move(name)](Shard* s) mutable {
+    s->OpenStream(id, std::move(name));
+  });
   return id;
 }
 
@@ -551,8 +536,8 @@ Status StreamExecutor::RestoreCkpt(const ExecutorCkpt& ckpt) {
   if (ckpt.next_stream_id < 1 || ckpt.next_seq < 1) {
     return Status::Corruption("snapshot executor counters out of range");
   }
-  int restored = 0;
   std::set<int> seen_ids;
+  std::vector<std::vector<core::StreamCkpt>> per_shard(shards_.size());
   for (const core::StreamCkpt& s : ckpt.streams) {
     if (s.stream_id <= 0 || s.stream_id >= ckpt.next_stream_id) {
       return Status::Corruption("snapshot stream id " +
@@ -568,28 +553,42 @@ Status StreamExecutor::RestoreCkpt(const ExecutorCkpt& ckpt) {
     if (s.priority < 0 || s.priority > static_cast<int>(qos::Priority::kLow)) {
       return Status::Corruption("snapshot stream priority out of range");
     }
-    auto det = core::CopyDetector::Create(config_);
-    if (!det.ok()) return det.status();
-    std::shared_ptr<core::CopyDetector> detector = std::move(*det);
-    for (const PortfolioEntry& e : portfolio_) {
-      VCD_RETURN_IF_ERROR(detector->AddQuerySketch(e.id, e.sketch,
-                                                   e.length_frames,
-                                                   e.duration_seconds));
-    }
-    VCD_RETURN_IF_ERROR(detector->RestoreCkptState(s.detector));
-    if (static_cast<size_t>(s.matches_consumed) > detector->matches().size()) {
-      return Status::Corruption(
-          "snapshot matches_consumed exceeds the stream's match count");
-    }
+    per_shard[static_cast<size_t>(s.stream_id - 1) % shards_.size()].push_back(s);
+  }
+  // All or nothing: every home shard builds and restores its streams'
+  // detectors on its own portfolio first, and installs them only once every
+  // shard has succeeded. The outcome command rides each FIFO behind the
+  // staging, so a shard that failed over mid-restore drops its staged
+  // streams when it drains.
+  std::vector<std::future<Status>> futures;
+  futures.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    auto promise = std::make_shared<std::promise<Status>>();
+    futures.push_back(promise->get_future());
+    shards_[i]->SubmitCommand(
+        [promise, slots = std::move(per_shard[i])](Shard* shard) mutable {
+          promise->set_value(shard->StageRestore(std::move(slots)));
+        });
+  }
+  Status staged;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Status st = WaitOrFailover(futures[i], shards_[i].get())
+                    ? futures[i].get()
+                    : Status::Unavailable("restore abandoned: shard " +
+                                          std::to_string(i) + " failed over");
+    if (staged.ok()) staged = std::move(st);
+  }
+  const bool install = staged.ok();
+  for (auto& shard : shards_) {
+    shard->SubmitCommand([install](Shard* s) { s->FinishRestore(install); });
+  }
+  VCD_RETURN_IF_ERROR(staged);
+  for (const core::StreamCkpt& s : ckpt.streams) {
     const auto priority = static_cast<qos::Priority>(s.priority);
     priorities_[s.stream_id] = priority;
     shard_for(s.stream_id)->RegisterStreamQos(s.stream_id, priority);
-    shard_for(s.stream_id)
-        ->SubmitCommand([ckpt_slot = s, detector](Shard* shard) mutable {
-          shard->InstallRestoredStream(ckpt_slot, std::move(detector));
-        });
-    ++restored;
   }
+  const int restored = static_cast<int>(ckpt.streams.size());
   next_stream_id_.store(ckpt.next_stream_id, std::memory_order_release);
   next_seq_.store(ckpt.next_seq, std::memory_order_release);
   num_open_streams_.store(restored, std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,17 +27,21 @@
 /// `CopyDetector`.
 ///
 /// Open streams are sharded across N worker threads with stable per-stream
-/// affinity (`shard = (stream_id - 1) % N`). Candidate lists are inherently
-/// per-stream, so shards share nothing on the frame path: `ProcessKeyFrame`
-/// touches only an atomic id bound check, a global sequence counter and the
-/// owning shard's bounded MPSC queue — no portfolio lock, no registry lock.
+/// affinity (`shard = (stream_id - 1) % N`). Each shard holds the query
+/// table and Hash-Query index once, in a `core::Portfolio` that every
+/// stream pinned to it shares; the executor itself keeps only the set of
+/// subscribed ids. Candidate lists are inherently per-stream, so shards
+/// share nothing on the frame path: `ProcessKeyFrame` touches only an
+/// atomic id bound check, a global sequence counter and the owning shard's
+/// bounded MPSC queue — no portfolio lock, no registry lock.
 ///
 /// Query subscribe/unsubscribe propagates through per-shard command queues:
 /// commands ride the same FIFO as frames, so a portfolio change takes
 /// effect after every frame submitted before it and before every frame
 /// submitted after it — window-boundary-exact, and identical to one
 /// detector per stream driven serially for any single-threaded submission
-/// schedule.
+/// schedule. Detectors are built on their shard's worker, by the command
+/// that opens or restores the stream.
 ///
 /// Matches are collected mutex-free on the frame path: each shard's worker
 /// appends to a thread-local log tagged with the frame's global submission
@@ -217,10 +222,12 @@ class StreamExecutor {
   ///
   /// Preconditions: the portfolio has been re-imported (ImportQueries with
   /// the snapshot's embedded QueryDb) and no stream has been opened.
-  /// Rebuilds each stream's detector, re-validates it (typed errors on
-  /// malformed state), and reinstalls it on its home shard
+  /// Rebuilds each stream's detector on its home shard's portfolio
   /// (`(id - 1) % num_threads` — the same affinity the ids had before the
-  /// crash, provided num_threads matches the checkpointed run).
+  /// crash, provided num_threads matches the checkpointed run) and
+  /// re-validates it (typed errors on malformed state). All or nothing: a
+  /// stream installs only once every stream has restored, so on any error
+  /// the executor is left as it was.
   Status RestoreCkpt(const ExecutorCkpt& ckpt) VCD_EXCLUDES(control_mu_);
 
   /// Executor counters plus per-shard stats and aggregated detector stats.
@@ -252,13 +259,6 @@ class StreamExecutor {
   obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
  private:
-  struct PortfolioEntry {
-    int id;
-    int length_frames;
-    double duration_seconds;
-    sketch::Sketch sketch;
-  };
-
   /// A CloseStream/Drain reply abandoned because its shard was failed over.
   /// The promise still completes when the shard drains; ReapOrphansLocked
   /// folds the carried matches in then.
@@ -323,13 +323,15 @@ class StreamExecutor {
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Guards the portfolio, the merged log, the orphan list and
+  /// Guards the subscribed ids, the merged log, the orphan list and
   /// control-plane ordering. Never taken by ProcessKeyFrame. Outermost lock
   /// of the hierarchy (DESIGN.md §14): command fan-out takes every shard's
-  /// queue lock, and detector construction takes the metrics registry lock,
-  /// while this is held.
+  /// queue lock while this is held. Detectors are built on the shard
+  /// workers, so their metrics registration never runs under it.
   mutable Mutex control_mu_{LockRank::kExecutorControl, "executor.control"};
-  std::vector<PortfolioEntry> portfolio_ VCD_GUARDED_BY(control_mu_);
+  /// Ids of the subscribed queries. The sketches live in the shards'
+  /// portfolios only.
+  std::set<int> query_ids_ VCD_GUARDED_BY(control_mu_);
   std::vector<SeqMatch> merged_ VCD_GUARDED_BY(control_mu_);
   std::vector<Orphan> orphans_ VCD_GUARDED_BY(control_mu_);
   /// QoS class of every open stream — the control-plane source of truth

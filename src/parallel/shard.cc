@@ -26,11 +26,13 @@ const char* StreamHealthName(StreamHealth h) {
   return "unknown";
 }
 
-Shard::Shard(int shard_id, const core::ParallelConfig& config,
-             obs::MetricsRegistry* registry)
+Shard::Shard(int shard_id, const core::DetectorConfig& detector_config,
+             const core::ParallelConfig& config, obs::MetricsRegistry* registry)
     : shard_id_(shard_id),
+      detector_config_(detector_config),
       config_(config),
       queue_(static_cast<size_t>(config.queue_capacity)),
+      portfolio_(detector_config),
       metrics_(obs::ShardMetrics::Create(registry, shard_id)),
       worker_([this] { Run(); }) {
   // Snapshot() dereferences the counters unconditionally; a null registry
@@ -282,46 +284,72 @@ void Shard::DrainSlotMatches(int stream_id, StreamSlot* slot, uint64_t seq) {
   }
 }
 
-void Shard::InstallStream(int stream_id, std::string name,
-                          std::shared_ptr<core::CopyDetector> detector) {
-  StreamSlot slot;
-  slot.name = std::move(name);
-  slot.detector = std::move(detector);
-  slot.backoff_frames = config_.quarantine_backoff_frames;
-  // A stream opened while the shard is degraded joins at the shard's
-  // current quality level, not full quality.
+void Shard::InstallSlot(int stream_id, StreamSlot slot) {
+  // A stream opened or restored while the shard is degraded joins at the
+  // shard's current quality level, not full quality.
   slot.detector->SetDegrade(active_knobs_);
-  streams_.emplace(stream_id, std::move(slot));
+  const bool added = streams_.emplace(stream_id, std::move(slot)).second;
+  VCD_CHECK(added, "stream id installed twice on one shard");
   num_streams_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Shard::InstallRestoredStream(const core::StreamCkpt& ckpt,
-                                  std::shared_ptr<core::CopyDetector> detector) {
+void Shard::OpenStream(int stream_id, std::string name) {
+  auto det = core::CopyDetector::Create(detector_config_, &portfolio_);
+  if (!det.ok()) {
+    if (first_error_.ok()) first_error_ = det.status();
+    return;
+  }
   StreamSlot slot;
-  slot.name = ckpt.name;
-  slot.detector = std::move(detector);
-  slot.matches_consumed = static_cast<size_t>(ckpt.matches_consumed);
-  slot.health = static_cast<StreamHealth>(ckpt.health);
-  slot.consecutive_faults = ckpt.consecutive_faults;
-  slot.consecutive_clean = ckpt.consecutive_clean;
-  slot.quarantine_remaining = ckpt.quarantine_remaining;
-  // Clamped into the configured range: snapshots of the serial engine of
-  // earlier versions carry 0 here, and a backoff that only ever doubles
-  // would then stay 0 and every quarantine would last one frame.
-  slot.backoff_frames =
-      std::clamp<int64_t>(ckpt.backoff_frames, config_.quarantine_backoff_frames,
-                          config_.quarantine_backoff_max_frames);
-  slot.max_timestamp = ckpt.max_timestamp;
-  slot.saw_timestamp = ckpt.saw_timestamp;
-  slot.detector->SetDegrade(active_knobs_);
-  if (slot.health == StreamHealth::kQuarantined) {
-    streams_quarantined_.fetch_add(1, std::memory_order_relaxed);
+  slot.name = std::move(name);
+  slot.detector = std::move(det).value();
+  slot.backoff_frames = config_.quarantine_backoff_frames;
+  InstallSlot(stream_id, std::move(slot));
+}
+
+Status Shard::StageRestore(std::vector<core::StreamCkpt> slots) {
+  for (core::StreamCkpt& ckpt : slots) {
+    auto det = core::CopyDetector::Create(detector_config_, &portfolio_);
+    if (!det.ok()) return det.status();
+    VCD_RETURN_IF_ERROR((*det)->RestoreCkptState(ckpt.detector));
+    if (static_cast<size_t>(ckpt.matches_consumed) > (*det)->matches().size()) {
+      return Status::Corruption(
+          "snapshot matches_consumed exceeds the stream's match count");
+    }
+    ckpt.detector = core::DetectorCkptState{};  // restored; free the copy
+    staged_.emplace_back(std::move(ckpt), std::move(det).value());
   }
-  if (slot.health == StreamHealth::kFailed) {
-    streams_failed_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void Shard::FinishRestore(bool install) {
+  auto staged = std::move(staged_);
+  staged_.clear();
+  if (!install) return;
+  for (auto& [ckpt, detector] : staged) {
+    StreamSlot slot;
+    slot.name = ckpt.name;
+    slot.detector = std::move(detector);
+    slot.matches_consumed = static_cast<size_t>(ckpt.matches_consumed);
+    slot.health = static_cast<StreamHealth>(ckpt.health);
+    slot.consecutive_faults = ckpt.consecutive_faults;
+    slot.consecutive_clean = ckpt.consecutive_clean;
+    slot.quarantine_remaining = ckpt.quarantine_remaining;
+    // Clamped into the configured range: snapshots of the serial engine of
+    // earlier versions carry 0 here, and a backoff that only ever doubles
+    // would then stay 0 and every quarantine would last one frame.
+    slot.backoff_frames =
+        std::clamp<int64_t>(ckpt.backoff_frames, config_.quarantine_backoff_frames,
+                            config_.quarantine_backoff_max_frames);
+    slot.max_timestamp = ckpt.max_timestamp;
+    slot.saw_timestamp = ckpt.saw_timestamp;
+    if (slot.health == StreamHealth::kQuarantined) {
+      streams_quarantined_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (slot.health == StreamHealth::kFailed) {
+      streams_failed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    InstallSlot(ckpt.stream_id, std::move(slot));
   }
-  streams_.emplace(ckpt.stream_id, std::move(slot));
-  num_streams_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Shard::ExportCkpt(std::vector<core::StreamCkpt>* slots,
@@ -362,19 +390,16 @@ Status Shard::FinishStream(int stream_id, uint64_t close_seq,
   return st;
 }
 
-void Shard::ApplyAddQuery(int id, const sketch::Sketch& sk, int length_frames,
+void Shard::ApplyAddQuery(int id, sketch::Sketch sk, int length_frames,
                           double duration_seconds) {
-  for (auto& [sid, slot] : streams_) {
-    Status st = slot.detector->AddQuerySketch(id, sk, length_frames, duration_seconds);
-    if (!st.ok() && first_error_.ok()) first_error_ = st;
-  }
+  Status st =
+      portfolio_.AddQuerySketch(id, std::move(sk), length_frames, duration_seconds);
+  if (!st.ok() && first_error_.ok()) first_error_ = st;
 }
 
 void Shard::ApplyRemoveQuery(int id) {
-  for (auto& [sid, slot] : streams_) {
-    Status st = slot.detector->RemoveQuery(id);
-    if (!st.ok() && first_error_.ok()) first_error_ = st;
-  }
+  Status st = portfolio_.RemoveQuery(id);
+  if (!st.ok() && first_error_.ok()) first_error_ = st;
 }
 
 Status Shard::TakeMatches(std::vector<SeqMatch>* out) {

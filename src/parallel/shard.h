@@ -7,10 +7,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
 #include "core/detector.h"
+#include "core/portfolio.h"
 #include "obs/pipeline_metrics.h"
 #include "parallel/mpsc_queue.h"
 #include "qos/qos.h"
@@ -19,11 +21,14 @@
 
 /// \file shard.h
 /// One shard of the parallel stream executor: a worker thread, its bounded
-/// submission queue, and the detection state of the streams pinned to it.
+/// submission queue, its query portfolio, and the detection state of the
+/// streams pinned to it.
 ///
 /// Candidate lists are inherently per-stream, so shards share nothing on
 /// the frame path: every stream's detector lives on exactly one shard, and
-/// all mutation happens on that shard's worker thread. The control plane
+/// all mutation happens on that shard's worker thread. The shard's streams
+/// share its one `core::Portfolio` (query table and Hash-Query index), so a
+/// subscription change is one call per shard. The control plane
 /// talks to a shard only through commands enqueued into the same FIFO queue
 /// as frames, which is what makes ordering deterministic: a command takes
 /// effect after every frame submitted before it and before every frame
@@ -32,14 +37,15 @@
 /// ### Lock discipline
 /// A shard's frame-path synchronization point is the bounded MPSC queue
 /// (whose state is `VCD_GUARDED_BY` its lock, see parallel/mpsc_queue.h);
-/// `streams_`, `log_` and `first_error_` are owned by the single consumer
-/// thread — a confinement Clang's Thread Safety Analysis cannot express, so
-/// the split below is enforced by convention: the "shard-thread side"
-/// methods run only inside a queued Command, and cross-thread reads go
-/// through the relaxed-atomic counters in Snapshot(). The only shard mutex
-/// is the kQos-ranked shed gate (`qos_mu_`), taken briefly on the producer
-/// side and only while the governor holds the shard in Shedding; it is
-/// never held across a queue push (kQos < kQueue in the lock hierarchy).
+/// `portfolio_`, `streams_`, `log_` and `first_error_` are owned by the
+/// single consumer thread — a confinement Clang's Thread Safety Analysis
+/// cannot express, so the split below is enforced by convention: the
+/// "shard-thread side" methods run only inside a queued Command, and
+/// cross-thread reads go through the relaxed-atomic counters in
+/// Snapshot(). The only shard mutex is the kQos-ranked shed gate
+/// (`qos_mu_`), taken briefly on the producer side and only while the
+/// governor holds the shard in Shedding; it is never held across a queue
+/// push (kQos < kQueue in the lock hierarchy).
 
 namespace vcd::parallel {
 
@@ -108,13 +114,14 @@ class Shard {
     kDeadline,    ///< kBlock + push_deadline_ms: the wait timed out
   };
 
-  /// \p registry receives this shard's `vcd_shard_*` metric family (labeled
-  /// `shard="<id>"`) and is the storage behind the frame-accounting fields
-  /// of Snapshot(). Must be non-null and outlive the shard — the executor
-  /// always provides one (its own private registry when the config does not
-  /// name a process registry).
-  Shard(int shard_id, const core::ParallelConfig& config,
-        obs::MetricsRegistry* registry);
+  /// Every stream's detector runs \p detector_config (already validated) on
+  /// the shard's portfolio. \p registry receives this shard's `vcd_shard_*`
+  /// metric family (labeled `shard="<id>"`) and is the storage behind the
+  /// frame-accounting fields of Snapshot(). Must be non-null and outlive the
+  /// shard — the executor always provides one (its own private registry when
+  /// the config does not name a process registry).
+  Shard(int shard_id, const core::DetectorConfig& detector_config,
+        const core::ParallelConfig& config, obs::MetricsRegistry* registry);
 
   /// Closes the queue, drains remaining tasks and joins the worker.
   ~Shard();
@@ -189,18 +196,24 @@ class Shard {
 
   // --- shard-thread side (call only from inside a Command) --------------
 
-  /// Installs a stream with a pre-built detector (portfolio already applied).
-  void InstallStream(int stream_id, std::string name,
-                     std::shared_ptr<core::CopyDetector> detector);
+  /// Opens stream \p stream_id: builds its detector on the shard's
+  /// portfolio and installs it. A detector that cannot be built becomes the
+  /// sticky first error, and the stream's frames are rejected.
+  void OpenStream(int stream_id, std::string name);
 
-  /// Installs a stream restored from a checkpoint: like InstallStream, but
-  /// the detector already carries restored mid-stream state and the slot's
-  /// health machine resumes from the snapshot instead of kHealthy. The
-  /// quarantine gauges are re-derived from the restored health, and the
-  /// next quarantine's length is clamped into [quarantine_backoff_frames,
-  /// quarantine_backoff_max_frames] of this shard's config.
-  void InstallRestoredStream(const core::StreamCkpt& ckpt,
-                             std::shared_ptr<core::CopyDetector> detector);
+  /// First half of an all-or-nothing restore: builds a detector for each of
+  /// \p slots on the shard's portfolio, restores its checkpointed state
+  /// (typed errors on malformed state) and stages it, uninstalled. Returns
+  /// the first error.
+  Status StageRestore(std::vector<core::StreamCkpt> slots);
+
+  /// Second half: installs every staged stream when \p install, else drops
+  /// them. A restored slot's health machine resumes from the snapshot
+  /// instead of kHealthy: the quarantine gauges are re-derived from the
+  /// restored health, and the next quarantine's length is clamped into
+  /// [quarantine_backoff_frames, quarantine_backoff_max_frames] of this
+  /// shard's config.
+  void FinishRestore(bool install);
 
   /// Exports every stream slot on this shard (health machine + detector
   /// state) plus a COPY of the pending match log into \p out. The log is
@@ -213,11 +226,11 @@ class Shard {
   /// matches (tagged \p close_seq) into \p out and forgets it.
   Status FinishStream(int stream_id, uint64_t close_seq, std::vector<SeqMatch>* out);
 
-  /// Applies a query subscription to every stream on this shard.
-  void ApplyAddQuery(int id, const sketch::Sketch& sk, int length_frames,
+  /// Subscribes a query on the shard's portfolio, for every stream on it.
+  void ApplyAddQuery(int id, sketch::Sketch sk, int length_frames,
                      double duration_seconds);
 
-  /// Applies a query unsubscription to every stream on this shard.
+  /// Unsubscribes a query from the shard's portfolio.
   void ApplyRemoveQuery(int id);
 
   /// Moves the accumulated match log into \p out and returns the sticky
@@ -250,7 +263,7 @@ class Shard {
 
   struct StreamSlot {
     std::string name;
-    std::shared_ptr<core::CopyDetector> detector;
+    std::unique_ptr<core::CopyDetector> detector;
     size_t matches_consumed = 0;
 
     // Health state machine (worker-thread-owned, frame-count based so
@@ -278,12 +291,20 @@ class Shard {
   /// Appends the not-yet-consumed matches of \p slot to log_, tagged \p seq.
   void DrainSlotMatches(int stream_id, StreamSlot* slot, uint64_t seq);
 
+  /// Adds \p slot under \p stream_id, which must not be on this shard yet.
+  void InstallSlot(int stream_id, StreamSlot slot);
+
   const int shard_id_;
+  const core::DetectorConfig detector_config_;
   const core::ParallelConfig config_;
   BoundedMpscQueue<Task> queue_;
 
-  // Worker-thread-owned state (no locking: single consumer).
+  // Worker-thread-owned state (no locking: single consumer). The portfolio
+  // is declared first, so it outlives the detectors built on it.
+  core::Portfolio portfolio_;
   std::map<int, StreamSlot> streams_;
+  /// Restored streams awaiting FinishRestore, each with its snapshot slot.
+  std::vector<std::pair<core::StreamCkpt, std::unique_ptr<core::CopyDetector>>> staged_;
   std::vector<SeqMatch> log_;
   Status first_error_;
   /// Degrade knobs currently applied to this shard's detectors; identity

@@ -64,8 +64,8 @@ Status QosConfig::Validate() const {
     return Status::InvalidArgument(
         "qos degrade_watermark must be <= shed_watermark");
   }
-  if (degrade_lag_us < 0 || shed_lag_us < 0) {
-    return Status::InvalidArgument("qos lag thresholds must be >= 0");
+  if (degrade_lag_us < 0) {
+    return Status::InvalidArgument("qos degrade_lag_us must be >= 0");
   }
   if (escalate_dwell_ticks < 1) {
     return Status::InvalidArgument("qos escalate_dwell_ticks must be >= 1");
@@ -99,9 +99,7 @@ bool Governor::TickShard(Machine* m, const ShardSample& s,
   const bool degrade_hot =
       fill >= config_.degrade_watermark ||
       (config_.degrade_lag_us > 0 && s.stream_lag_us >= config_.degrade_lag_us);
-  const bool shed_hot =
-      fill >= config_.shed_watermark ||
-      (config_.shed_lag_us > 0 && s.stream_lag_us >= config_.shed_lag_us);
+  const bool shed_hot = fill >= config_.shed_watermark;
   const bool calm = fill <= config_.recover_watermark && !degrade_hot;
 
   ++m->dwell;

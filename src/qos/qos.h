@@ -105,7 +105,7 @@ struct DegradeKnobs {
 };
 
 /// Governor configuration: pressure watermarks (fractions of shard queue
-/// capacity), optional lag thresholds, and dwell-time hysteresis.
+/// capacity), an optional lag threshold, and dwell-time hysteresis.
 ///
 /// A shard's fill pressure is queue_depth / queue_capacity. Escalation
 /// requires the pressure to hold above a watermark for escalate_dwell_ticks
@@ -131,8 +131,6 @@ struct QosConfig {
   /// at/above which a shard counts as Degraded-hot even with a shallow
   /// queue. 0 disables the lag signal.
   int64_t degrade_lag_us = 0;
-  /// Lag at/above which a Degraded shard counts as Shedding-hot. 0 = off.
-  int64_t shed_lag_us = 0;
 
   /// Consecutive hot ticks before an escalation fires.
   int escalate_dwell_ticks = 2;

@@ -37,8 +37,10 @@ enum class LockRank : int {
   /// out while holding their lock (faultfx::Injector).
   kLeaf = 10,
   /// obs::MetricsRegistry registration/collection. Below every pipeline
-  /// lock: detector construction registers instruments while the executor
-  /// control mutex is held.
+  /// lock, so registering or collecting under one stays legal. Today no
+  /// pipeline lock is held when it is taken: a shard worker builds each
+  /// stream's detector, which registers its instruments, inside a queued
+  /// command.
   kMetricsRegistry = 20,
   /// Reserved for the per-stream health machine (DESIGN.md §12). Today its
   /// state is confined to the owning shard's worker thread and needs no
@@ -56,7 +58,7 @@ enum class LockRank : int {
   /// Shard-level control state: the executor's watchdog stop/wakeup mutex,
   /// which is held across per-shard queue-depth snapshots.
   kShard = 60,
-  /// The executor control plane (portfolio, merged log, orphans). The
+  /// The executor control plane (subscribed ids, merged log, orphans). The
   /// outermost lock in the process: control-plane calls fan commands out
   /// into every shard queue while holding it.
   kExecutorControl = 70,

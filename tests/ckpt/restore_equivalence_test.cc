@@ -322,6 +322,54 @@ TEST(KernelIsaRestoreTest, SnapshotRestoresAcrossIsas) {
   ASSERT_TRUE(sk::ForceIsa(best).ok());
 }
 
+/// Streams installed on shards of one executor, summed over its shards.
+int StreamsOnShards(StreamExecutor* exec) {
+  int n = 0;
+  for (const parallel::ShardStats& s : exec->Stats().shards) n += s.num_streams;
+  return n;
+}
+
+/// A snapshot that fails to restore leaves the executor as it was. Its
+/// second stream references query id 999, which the re-imported portfolio
+/// lacks; the first stream, restored fine on its own shard, must not be
+/// installed either — at 1 thread on the same shard, at 2 on the other.
+TEST(RestoreAllOrNothingTest, FailedRestoreInstallsNoStream) {
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    auto first = MakeExecutor(threads);
+    const std::vector<int> sids = {*first->OpenStream("a"), *first->OpenStream("b")};
+    Feed(first.get(), sids, 0, 40);
+    auto good = first->Checkpoint();
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    ASSERT_EQ(good->streams.size(), 2u);
+    ExecutorCkpt bad = *good;
+    bad.streams[1].detector.queries.push_back({999, -1.0});
+
+    // The ids the snapshot would have taken open fresh streams.
+    auto resumed = MakeExecutor(threads);
+    EXPECT_EQ(resumed->RestoreCkpt(bad).code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(resumed->num_open_streams(), 0);
+    auto sid = resumed->OpenStream("fresh");
+    ASSERT_TRUE(sid.ok());
+    EXPECT_EQ(*sid, sids.front());
+    auto stats = resumed->StreamStats(*sid);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->key_frames, 0);
+    EXPECT_EQ(StreamsOnShards(resumed.get()), 1);
+
+    // The unbroken snapshot still restores onto an executor a failed
+    // restore left behind.
+    auto retried = MakeExecutor(threads);
+    EXPECT_FALSE(retried->RestoreCkpt(bad).ok());
+    ASSERT_TRUE(retried->RestoreCkpt(*good).ok());
+    EXPECT_EQ(retried->num_open_streams(), 2);
+    EXPECT_EQ(StreamsOnShards(retried.get()), 2);
+    auto restored = retried->StreamStats(sids.front());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->key_frames, 40);
+  }
+}
+
 // Cut points: before the copy, mid-copy (candidates live), right at the
 // copy's end (matches already emitted), and in the trailing noise.
 INSTANTIATE_TEST_SUITE_P(Cuts, RestoreEquivalenceTest,

@@ -108,7 +108,7 @@ TEST(CopyDetectorTest, AddQueryValidation) {
   EXPECT_FALSE(det->AddQueryCells(1, {1, 2, 3}, -1.0).ok());
   EXPECT_TRUE(det->AddQueryCells(1, {1, 2, 3}, 10.0).ok());
   EXPECT_EQ(det->AddQueryCells(1, {4, 5}, 10.0).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(det->num_queries(), 1);
+  EXPECT_EQ(det->ExportQueries().size(), 1u);
 }
 
 TEST(CopyDetectorTest, RemoveQuery) {
@@ -124,7 +124,8 @@ TEST(CopyDetectorTest, ValidateStateCrossChecksIndex) {
   // Ordinals: id 1 → 0, id 2 → 1 (removed), id 3 → 2. Each corruption
   // below leaves the index structurally valid, so only the cross-check
   // against the query table can catch it.
-  auto det = CopyDetector::Create(SmallConfig()).value();
+  Portfolio portfolio(SmallConfig());
+  auto det = CopyDetector::Create(SmallConfig(), &portfolio).value();
   World w;
   for (int id = 1; id <= 3; ++id) {
     ASSERT_TRUE(det->AddQueryCells(id, w.RandomContent(30, 0, 100), 12.0).ok());
@@ -132,7 +133,7 @@ TEST(CopyDetectorTest, ValidateStateCrossChecksIndex) {
   ASSERT_TRUE(World::Feed(det.get(), w.RandomContent(20, 0, 100), 0).ok());
   ASSERT_TRUE(det->RemoveQuery(2).ok());
   ASSERT_TRUE(det->ValidateState().ok());
-  index::HashQueryIndex* idx = det->mutable_index_for_test();
+  index::HashQueryIndex* idx = portfolio.mutable_index_for_test();
   ASSERT_NE(idx, nullptr);
   const auto queries = det->ExportQueries();  // ids 1 and 3
   const sketch::Sketch& sk1 = std::get<3>(queries[0]);
@@ -380,7 +381,7 @@ TEST(CopyDetectorTest, ResetStreamKeepsQueries) {
   det->ResetStream();
   EXPECT_TRUE(det->matches().empty());
   EXPECT_EQ(det->stats().key_frames, 0);
-  EXPECT_EQ(det->num_queries(), 1);
+  EXPECT_EQ(det->ExportQueries().size(), 1u);
   // The stream can be replayed with identical results.
   ASSERT_TRUE(World::Feed(det.get(), s.background_a, 0).ok());
   ASSERT_TRUE(World::Feed(det.get(), s.query, Scenario::kInsertSlot).ok());

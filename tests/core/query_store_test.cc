@@ -186,7 +186,7 @@ TEST(QueryStoreTest, DetectorExportImportRoundTrip) {
     ASSERT_TRUE(
         b->AddQuerySketch(q.id, q.sketch, q.length_frames, q.duration_seconds).ok());
   }
-  EXPECT_EQ(b->num_queries(), 2);
+  EXPECT_EQ(b->ExportQueries().size(), 2u);
   // Replay a stream embedding q1 through both detectors: identical matches.
   auto feed = [&](CopyDetector* det) {
     int64_t slot = 0;

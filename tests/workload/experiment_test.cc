@@ -24,14 +24,14 @@ TEST(ExperimentTest, SubscribeAllQueries) {
   auto ds = Dataset::Build(SmallOptions()).value();
   auto det = core::CopyDetector::Create(core::DetectorConfig()).value();
   ASSERT_TRUE(SubscribeQueries(ds, det.get()).ok());
-  EXPECT_EQ(det->num_queries(), 3);
+  EXPECT_EQ(det->ExportQueries().size(), 3u);
 }
 
 TEST(ExperimentTest, SubscribeSubset) {
   auto ds = Dataset::Build(SmallOptions()).value();
   auto det = core::CopyDetector::Create(core::DetectorConfig()).value();
   ASSERT_TRUE(SubscribeQueries(ds, det.get(), 2).ok());
-  EXPECT_EQ(det->num_queries(), 2);
+  EXPECT_EQ(det->ExportQueries().size(), 2u);
 }
 
 TEST(ExperimentTest, RunDetectorOnVs1FindsEverything) {
