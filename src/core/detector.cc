@@ -756,9 +756,12 @@ void CopyDetector::RecordWindowStats() {
     ++cand_count;
     longest = std::max(longest, c.num_windows);
   };
+  // Without the index a Sketch candidate is tested against every
+  // subscribed query; removed ordinals do not count, so a detector restored
+  // onto a portfolio that never held them reports the same stats.
   const auto count_sketch = [&](const auto& c) {
     sig_count += config_.use_index ? static_cast<int64_t>(c.related.size())
-                                   : static_cast<int64_t>(portfolio_->num_ordinals());
+                                   : static_cast<int64_t>(portfolio_->num_queries());
     ++cand_count;
     longest = std::max(longest, c.num_windows);
   };

@@ -73,6 +73,9 @@ class Portfolio {
   /// Ordinals issued so far, removed ones included.
   int num_ordinals() const { return static_cast<int>(queries_.size()); }
 
+  /// Subscribed queries: the active ordinals, removed ones excluded.
+  int num_queries() const { return static_cast<int>(id_to_ordinal_.size()); }
+
   /// The record of ordinal \p q (in [0, num_ordinals())).
   const QueryRec& query(int q) const { return queries_[static_cast<size_t>(q)]; }
 

@@ -7,12 +7,21 @@
 // 32-byte half cache line and the kernel uses direct 256-bit loads.
 // Irregular groups gather the same word of 4 slots into one ymm with
 // VPGATHERQQ. Popcounts use the classic PSHUFB nibble-LUT + VPSADBW
-// reduction (AVX2 has no vector popcount). The remaining entries (build,
-// sketch ops) use the generic code, which this TU compiles with -mavx2
+// reduction (AVX2 has no vector popcount).
+//
+// sig_build compares 32 ranks per signature word with eight 4-lane compare
+// pairs. AVX2 compares 64-bit lanes as signed only, and min-hash values
+// use all 64 bits, so both operands get their sign bit flipped first,
+// which maps unsigned order onto signed order: c > q gives "not ≤", q > c
+// gives "<", each read out with MOVMSKPD. The two 32-bit masks are
+// interleaved onto the word's even and odd bits; a K that is not a
+// multiple of 32 leaves its last word to the generic per-rank loop. The
+// sketch ops use the generic code, which this TU compiles with -mavx2
 // -mpopcnt: hardware popcount plus 256-bit autovectorization.
 //
-// Results are bit-identical to the scalar reference: popcounts and masks
-// are exact, and accumulation order per slot is the same word-major walk.
+// Results are bit-identical to the scalar reference: popcounts, masks and
+// compares are exact, and accumulation order per slot is the same
+// word-major walk.
 
 #include <algorithm>
 #include <bit>
@@ -246,6 +255,37 @@ size_t SigPruneScanAvx2(const uint64_t* slab, size_t stride,
   return pruned;
 }
 
+void SigBuildAvx2(uint64_t* slot, const uint64_t* cand, const uint64_t* query,
+                  int k) {
+  const __m256i sign =
+      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
+  const size_t full = static_cast<size_t>(k) / 32;
+  for (size_t w = 0; w < full; ++w) {
+    const uint64_t* c = cand + w * 32;
+    const uint64_t* q = query + w * 32;
+    uint32_t gt = 0, lt = 0;
+    for (int j = 0; j < 8; ++j) {
+      const __m256i cv = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 4 * j)),
+          sign);
+      const __m256i qv = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 4 * j)),
+          sign);
+      gt |= static_cast<uint32_t>(_mm256_movemask_pd(
+                _mm256_castsi256_pd(_mm256_cmpgt_epi64(cv, qv))))
+            << (4 * j);
+      lt |= static_cast<uint32_t>(_mm256_movemask_pd(
+                _mm256_castsi256_pd(_mm256_cmpgt_epi64(qv, cv))))
+            << (4 * j);
+    }
+    slot[w * kLanes] = InterleaveSigWord(~gt, lt);
+  }
+  const int done = static_cast<int>(full * 32);
+  if (done < k) {
+    SigBuild(slot + full * kLanes, cand + done, query + done, k - done);
+  }
+}
+
 }  // namespace avx2_impl
 
 const KernelOps* GetAvx2Ops() {
@@ -255,7 +295,7 @@ const KernelOps* GetAvx2Ops() {
       &avx2_impl::SigOrRangeAvx2,
       &avx2_impl::SigNumEqualBatchAvx2,
       &avx2_impl::SigPruneScanAvx2,
-      &avx2_impl::SigBuild,
+      &avx2_impl::SigBuildAvx2,
       &avx2_impl::SketchCombineMin,
       &avx2_impl::SketchNumEqual,
   };

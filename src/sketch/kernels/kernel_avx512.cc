@@ -13,8 +13,15 @@
 // guarantees it) and accumulates the Lemma-2 odd-bit popcount in the same
 // pass.
 //
+// sig_build compares 32 ranks per signature word with four 8-lane unsigned
+// compare pairs (≤ and <, straight into mask registers) and interleaves
+// the two 32-bit masks onto the word's even and odd bits; a K that is not
+// a multiple of 32 leaves its last word to the generic per-rank loop. The
+// sketch ops use the generic code, which this TU compiles with the flags
+// above.
+//
 // Results are bit-identical to the scalar reference: exact popcounts,
-// identical per-slot accumulation.
+// identical per-slot accumulation, exact compares.
 
 #include <algorithm>
 #include <bit>
@@ -243,6 +250,27 @@ size_t SigPruneScanAvx512(const uint64_t* slab, size_t stride,
   return pruned;
 }
 
+void SigBuildAvx512(uint64_t* slot, const uint64_t* cand,
+                    const uint64_t* query, int k) {
+  const size_t full = static_cast<size_t>(k) / 32;
+  for (size_t w = 0; w < full; ++w) {
+    const uint64_t* c = cand + w * 32;
+    const uint64_t* q = query + w * 32;
+    uint32_t le = 0, lt = 0;
+    for (int j = 0; j < 4; ++j) {
+      const __m512i cv = _mm512_loadu_si512(c + 8 * j);
+      const __m512i qv = _mm512_loadu_si512(q + 8 * j);
+      le |= static_cast<uint32_t>(_mm512_cmple_epu64_mask(cv, qv)) << (8 * j);
+      lt |= static_cast<uint32_t>(_mm512_cmplt_epu64_mask(cv, qv)) << (8 * j);
+    }
+    slot[w * kLanes] = InterleaveSigWord(le, lt);
+  }
+  const int done = static_cast<int>(full * 32);
+  if (done < k) {
+    SigBuild(slot + full * kLanes, cand + done, query + done, k - done);
+  }
+}
+
 }  // namespace avx512_impl
 
 const KernelOps* GetAvx512Ops() {
@@ -252,7 +280,7 @@ const KernelOps* GetAvx512Ops() {
       &avx512_impl::SigOrRangeAvx512,
       &avx512_impl::SigNumEqualBatchAvx512,
       &avx512_impl::SigPruneScanAvx512,
-      &avx512_impl::SigBuild,
+      &avx512_impl::SigBuildAvx512,
       &avx512_impl::SketchCombineMin,
       &avx512_impl::SketchNumEqual,
   };

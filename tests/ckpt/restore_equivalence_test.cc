@@ -322,6 +322,53 @@ TEST(KernelIsaRestoreTest, SnapshotRestoresAcrossIsas) {
   ASSERT_TRUE(sk::ForceIsa(best).ok());
 }
 
+/// Without the index a Sketch candidate is tested against every subscribed
+/// query, and signatures_per_window counts them. A query removed before the
+/// cut keeps its ordinal in the uninterrupted executor's portfolio but never
+/// enters the resumed one, which re-subscribes the active queries only:
+/// stats must still match, so the removed ordinal must not count.
+TEST(RestoreAfterRemovalTest, SketchNoIndexStatsMatchUninterrupted) {
+  DetectorConfig config = SmallConfig();
+  config.representation = core::Representation::kSketch;
+  config.order = core::CombinationOrder::kSequential;
+  config.use_index = false;
+  constexpr int kRemoveAt = 10;
+  constexpr int kCut = 33;
+  const auto make = [&config](bool with_removed_query) {
+    ParallelConfig pc;
+    pc.num_threads = 1;
+    auto exec = StreamExecutor::Create(config, pc).value();
+    EXPECT_TRUE(exec->AddQuery(1, QueryFrames()).ok());
+    if (with_removed_query) {
+      std::vector<video::DcFrame> other;
+      for (int i = 0; i < 40; ++i) other.push_back(TinyFrame(i, -300.0f - i));
+      EXPECT_TRUE(exec->AddQuery(2, other).ok());
+    }
+    return exec;
+  };
+
+  auto uninterrupted = make(true);
+  const std::vector<int> sids = {*uninterrupted->OpenStream("s")};
+  Feed(uninterrupted.get(), sids, 0, kRemoveAt);
+  ASSERT_TRUE(uninterrupted->RemoveQuery(2).ok());
+  const RunOutput want = Finish(uninterrupted.get(), sids, kRemoveAt);
+  ASSERT_FALSE(want.matches.empty()) << "scenario must actually match";
+
+  auto first = make(true);
+  ASSERT_EQ(*first->OpenStream("s"), sids.front());
+  Feed(first.get(), sids, 0, kRemoveAt);
+  ASSERT_TRUE(first->RemoveQuery(2).ok());
+  Feed(first.get(), sids, kRemoveAt, kCut);
+  auto ec = first->Checkpoint();
+  ASSERT_TRUE(ec.ok()) << ec.status().ToString();
+
+  auto resumed = make(false);
+  ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(config, *ec)).ok());
+  const RunOutput got = Finish(resumed.get(), sids, kCut);
+  ExpectSameMatches(want.matches, got.matches);
+  ExpectSameStats(want.stats, got.stats);
+}
+
 /// Streams installed on shards of one executor, summed over its shards.
 int StreamsOnShards(StreamExecutor* exec) {
   int n = 0;

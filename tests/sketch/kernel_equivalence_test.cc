@@ -1,6 +1,9 @@
 // Kernel-backend equivalence fuzz: every registered ISA level must produce
 // byte-identical slabs and identical counts to the scalar reference, over
-// randomized signatures, K values and batch shapes.
+// randomized signatures, K values (32 fills one 32-rank signature word
+// exactly, 33 spills one rank into the next; 800 is Table I's) and batch
+// shapes. Signatures are built from values near 0 and again from values
+// straddling 2^63.
 //
 // The batch shapes deliberately cover both kernel regimes: consecutive
 // ascending/descending handle runs (the steady-state detector pattern that
@@ -24,10 +27,11 @@
 namespace vcd::sketch {
 namespace {
 
-Sketch RandomSketch(Rng* rng, int k, uint64_t hi) {
+// K values drawn from [lo, lo + span).
+Sketch RandomSketch(Rng* rng, int k, uint64_t span, uint64_t lo = 0) {
   Sketch s;
   s.mins.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) s.mins.push_back(rng->Uniform(hi));
+  for (int i = 0; i < k; ++i) s.mins.push_back(lo + rng->Uniform(span));
   return s;
 }
 
@@ -62,67 +66,73 @@ class KernelEquivalenceTest
 // words and all kernel outputs must match the scalar pool exactly.
 TEST_P(KernelEquivalenceTest, SignatureOpsMatchScalar) {
   Rng rng(0x5eed0000 + static_cast<uint32_t>(GetParam()));
-  for (int k : {1, 3, 16, 31, 64, 100, 256}) {
-    SignaturePool test_pool(k, ops());
-    SignaturePool ref_pool(k, ref());
+  for (int k : {1, 3, 16, 31, 32, 33, 64, 100, 256, 800}) {
     // Value range tight enough that "=", "<" and ">" relations all occur.
-    const uint64_t hi = static_cast<uint64_t>(k) * 2 + 1;
+    // The second pass straddles 2^63: min-hash values use all 64 bits, so
+    // a kernel comparing 64-bit lanes as signed builds other bits there.
+    const uint64_t span = static_cast<uint64_t>(k) * 2 + 1;
+    for (const uint64_t lo :
+         {uint64_t{0}, (uint64_t{1} << 63) - static_cast<uint64_t>(k)}) {
+      SignaturePool test_pool(k, ops());
+      SignaturePool ref_pool(k, ref());
 
-    // Populate 3 full-ish blocks of slots plus a ragged tail.
-    const size_t slots = 8 * 3 + 1 + rng.Uniform(6);
-    const Sketch query = RandomSketch(&rng, k, hi);
-    for (size_t i = 0; i < slots; ++i) {
-      const uint32_t ht = test_pool.Allocate();
-      const uint32_t hr = ref_pool.Allocate();
-      ASSERT_EQ(ht, hr);
-      const Sketch cand = RandomSketch(&rng, k, hi);
-      test_pool.BuildFromSketches(ht, cand, query);
-      ref_pool.BuildFromSketches(hr, cand, query);
-    }
-    const auto expect_slabs_equal = [&](const char* where) {
-      for (uint32_t h = 0; h < slots; ++h) {
-        for (size_t w = 0; w < test_pool.words_per_sig(); ++w) {
-          ASSERT_EQ(test_pool.word(h, w), ref_pool.word(h, w))
-              << where << ": K=" << k << " slot " << h << " word " << w;
+      // Populate 3 full-ish blocks of slots plus a ragged tail.
+      const size_t slots = 8 * 3 + 1 + rng.Uniform(6);
+      const Sketch query = RandomSketch(&rng, k, span, lo);
+      for (size_t i = 0; i < slots; ++i) {
+        const uint32_t ht = test_pool.Allocate();
+        const uint32_t hr = ref_pool.Allocate();
+        ASSERT_EQ(ht, hr);
+        const Sketch cand = RandomSketch(&rng, k, span, lo);
+        test_pool.BuildFromSketches(ht, cand, query);
+        ref_pool.BuildFromSketches(hr, cand, query);
+      }
+      const auto expect_slabs_equal = [&](const char* where) {
+        for (uint32_t h = 0; h < slots; ++h) {
+          for (size_t w = 0; w < test_pool.words_per_sig(); ++w) {
+            ASSERT_EQ(test_pool.word(h, w), ref_pool.word(h, w))
+                << where << ": K=" << k << " lo=" << lo << " slot " << h
+                << " word " << w;
+          }
         }
+      };
+      expect_slabs_equal("after build");
+
+      for (int round = 0; round < 8; ++round) {
+        // Random disjoint dst/src batches of every shape, sized to straddle
+        // the 4- and 8-slot vector pass widths.
+        const size_t n = 1 + rng.Uniform(static_cast<uint64_t>(slots / 2));
+        auto dst = MakeBatch(&rng, 0, n, round);
+        auto src = MakeBatch(&rng, static_cast<uint32_t>(slots - n), n,
+                             round + 1);
+        std::vector<int> less_t(n, -1), less_r(n, -2);
+        test_pool.OrRange(dst.data(), src.data(), n,
+                          round % 2 == 0 ? less_t.data() : nullptr);
+        ref_pool.OrRange(dst.data(), src.data(), n,
+                         round % 2 == 0 ? less_r.data() : nullptr);
+        if (round % 2 == 0) {
+          EXPECT_EQ(less_t, less_r);
+        }
+        expect_slabs_equal("after or");
+
+        auto all = MakeBatch(&rng, 0, slots, round);
+        std::vector<int> eq_t(slots), eq_r(slots), nl_t(slots), nl_r(slots);
+        test_pool.NumEqualBatch(all.data(), slots, eq_t.data(), nl_t.data());
+        ref_pool.NumEqualBatch(all.data(), slots, eq_r.data(), nl_r.data());
+        EXPECT_EQ(eq_t, eq_r);
+        EXPECT_EQ(nl_t, nl_r);
+
+        // Delta swept across the whole threshold range, including edge
+        // values where ⌊K(1−δ)⌋ sits exactly on an attained NumLess.
+        const double delta = rng.UniformDouble(0.0, 1.0);
+        std::vector<uint8_t> pr_t(slots, 2), pr_r(slots, 3);
+        const size_t ct =
+            test_pool.PruneScan(all.data(), slots, delta, pr_t.data());
+        const size_t cr =
+            ref_pool.PruneScan(all.data(), slots, delta, pr_r.data());
+        EXPECT_EQ(ct, cr);
+        EXPECT_EQ(pr_t, pr_r);
       }
-    };
-    expect_slabs_equal("after build");
-
-    for (int round = 0; round < 8; ++round) {
-      // Random disjoint dst/src batches of every shape, sized to straddle
-      // the 4- and 8-slot vector pass widths.
-      const size_t n = 1 + rng.Uniform(static_cast<uint64_t>(slots / 2));
-      auto dst = MakeBatch(&rng, 0, n, round);
-      auto src = MakeBatch(&rng, static_cast<uint32_t>(slots - n), n,
-                           round + 1);
-      std::vector<int> less_t(n, -1), less_r(n, -2);
-      test_pool.OrRange(dst.data(), src.data(), n,
-                        round % 2 == 0 ? less_t.data() : nullptr);
-      ref_pool.OrRange(dst.data(), src.data(), n,
-                       round % 2 == 0 ? less_r.data() : nullptr);
-      if (round % 2 == 0) {
-        EXPECT_EQ(less_t, less_r);
-      }
-      expect_slabs_equal("after or");
-
-      auto all = MakeBatch(&rng, 0, slots, round);
-      std::vector<int> eq_t(slots), eq_r(slots), nl_t(slots), nl_r(slots);
-      test_pool.NumEqualBatch(all.data(), slots, eq_t.data(), nl_t.data());
-      ref_pool.NumEqualBatch(all.data(), slots, eq_r.data(), nl_r.data());
-      EXPECT_EQ(eq_t, eq_r);
-      EXPECT_EQ(nl_t, nl_r);
-
-      // Delta swept across the whole threshold range, including edge
-      // values where ⌊K(1−δ)⌋ sits exactly on an attained NumLess.
-      const double delta = rng.UniformDouble(0.0, 1.0);
-      std::vector<uint8_t> pr_t(slots, 2), pr_r(slots, 3);
-      const size_t ct =
-          test_pool.PruneScan(all.data(), slots, delta, pr_t.data());
-      const size_t cr =
-          ref_pool.PruneScan(all.data(), slots, delta, pr_r.data());
-      EXPECT_EQ(ct, cr);
-      EXPECT_EQ(pr_t, pr_r);
     }
   }
 }

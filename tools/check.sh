@@ -82,8 +82,9 @@ case "$MATRIX" in
       -DVCD_BUILD_BENCH=OFF -DVCD_BUILD_EXAMPLES=OFF ;;&
   kernels)
     # Not part of `all`: the forced-ISA sweep re-runs the whole suite once
-    # per backend, which triples-to-quadruples runtime. CI runs the cheap
-    # levels as a matrix job; run this leg locally after kernel changes.
+    # per backend, which triples-to-quadruples runtime. CI runs scalar,
+    # popcnt and avx2 as a matrix job, on runners without AVX-512; run
+    # this leg locally after kernel changes.
     run_config kernels-build build
     for isa in $(./build/tools/vcdctl kernels \
                    | awk 'NR > 1 && $3 == "yes" { print $1 }'); do
