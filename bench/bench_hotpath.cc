@@ -134,8 +134,8 @@ std::vector<RunResult> RunConfig(const RunSpec& spec,
   c.window_seconds = 4.0;
   // Stream content is disjoint from query content, so no window ever
   // matches, and δ is low enough that the Lemma-2 threshold (NumLess >
-  // K(1−δ)) almost never fires on unrelated content: the prune scan runs
-  // every window but candidate state stays near-maximal and constant, so
+  // K(1−δ)) almost never fires on unrelated content: every build and OR
+  // checks it but candidate state stays near-maximal and constant, so
   // the pooled arenas reach their high-water mark during warmup and the
   // measured phase is allocation-free. (At K=16 the threshold needs all 16
   // relations to be "less" — P≈2⁻¹⁶ per signature test — so rare prunes DO

@@ -178,12 +178,13 @@ void BM_IndexProbe(benchmark::State& state) {
   std::vector<uint64_t> seen;
   std::vector<int> related;
   std::vector<sketch::SignaturePool::Handle> kept;
+  const int max_less = BitSignature::Lemma2MaxLess(kIndexK, 0.7);
   for (auto _ : state) {
     idx.ProbeRelatedInto(set.window, &seen, &related);
     for (int q : related) {
       const sketch::SignaturePool::Handle h = pool.Allocate();
       pool.BuildFromSketches(h, set.window, set.sketches[static_cast<size_t>(q)]);
-      if (pool.SatisfiesLemma2(h, 0.7)) {
+      if (pool.NumLess(h) <= max_less) {
         kept.push_back(h);
       } else {
         pool.Free(h);
@@ -305,23 +306,12 @@ BENCHMARK(BM_PoolOrRangeFused)->Arg(100)->Arg(800)->Arg(3000);
 void BM_PoolNumEqualBatch(benchmark::State& state) {
   PoolBenchFixture f(static_cast<int>(state.range(0)));
   std::vector<int> eq(kPoolBenchSigs);
-  std::vector<int> less(kPoolBenchSigs);
   for (auto _ : state) {
-    f.pool.NumEqualBatch(f.dst.data(), kPoolBenchSigs, eq.data(), less.data());
+    f.pool.NumEqualBatch(f.dst.data(), kPoolBenchSigs, eq.data());
     benchmark::DoNotOptimize(eq.data());
   }
 }
 BENCHMARK(BM_PoolNumEqualBatch)->Arg(100)->Arg(800)->Arg(3000);
-
-void BM_PoolPruneScan(benchmark::State& state) {
-  PoolBenchFixture f(static_cast<int>(state.range(0)));
-  std::vector<uint8_t> prune(kPoolBenchSigs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        f.pool.PruneScan(f.dst.data(), kPoolBenchSigs, 0.7, prune.data()));
-  }
-}
-BENCHMARK(BM_PoolPruneScan)->Arg(100)->Arg(800)->Arg(3000);
 
 void BM_PoolSignatureLifecycle(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
@@ -496,11 +486,9 @@ struct KernelBenchFixture {
   std::vector<sketch::SignaturePool::Handle> dst;
   std::vector<sketch::SignaturePool::Handle> src;
   std::vector<int> eq, less;
-  std::vector<uint8_t> prune;
 
   KernelBenchFixture(int k, const sketch::kernels::KernelOps* ops)
-      : pool(k, ops), eq(kPoolBenchSigs), less(kPoolBenchSigs),
-        prune(kPoolBenchSigs) {
+      : pool(k, ops), eq(kPoolBenchSigs), less(kPoolBenchSigs) {
     auto fam = MinHashFamily::Create(k).value();
     Sketcher sk(&fam);
     Rng rng(13);
@@ -518,8 +506,7 @@ void BM_KernelNumEqualBatch(benchmark::State& state,
                             const sketch::kernels::KernelOps* ops) {
   KernelBenchFixture f(static_cast<int>(state.range(0)), ops);
   for (auto _ : state) {
-    f.pool.NumEqualBatch(f.dst.data(), kPoolBenchSigs, f.eq.data(),
-                         f.less.data());
+    f.pool.NumEqualBatch(f.dst.data(), kPoolBenchSigs, f.eq.data());
     benchmark::DoNotOptimize(f.eq.data());
   }
 }
@@ -530,15 +517,6 @@ void BM_KernelOrRangeFused(benchmark::State& state,
   for (auto _ : state) {
     f.pool.OrRange(f.dst.data(), f.src.data(), kPoolBenchSigs, f.less.data());
     benchmark::DoNotOptimize(f.less.data());
-  }
-}
-
-void BM_KernelPruneScan(benchmark::State& state,
-                        const sketch::kernels::KernelOps* ops) {
-  KernelBenchFixture f(static_cast<int>(state.range(0)), ops);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.pool.PruneScan(f.dst.data(), kPoolBenchSigs,
-                                              0.7, f.prune.data()));
   }
 }
 
@@ -563,7 +541,6 @@ void RegisterKernelLadder() {
   const struct { const char* name; Fn fn; } kOps[] = {
       {"BM_KernelNumEqualBatch", &BM_KernelNumEqualBatch},
       {"BM_KernelOrRangeFused", &BM_KernelOrRangeFused},
-      {"BM_KernelPruneScan", &BM_KernelPruneScan},
       {"BM_KernelBuildFromSketches", &BM_KernelBuildFromSketches},
   };
   for (const auto& op : kOps) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "obs/span.h"
@@ -45,6 +46,9 @@ Result<std::unique_ptr<CopyDetector>> CopyDetector::Create(const DetectorConfig&
   det->assembler_.emplace(std::move(assembler).value());
   det->sig_pool_.emplace(config.K);
   det->sketch_pool_.emplace(config.K);
+  det->max_less_ = config.enable_pruning
+                       ? sketch::BitSignature::Lemma2MaxLess(config.K, config.delta)
+                       : std::numeric_limits<int>::max();
   return det;
 }
 
@@ -119,20 +123,18 @@ void CopyDetector::SizeFromPortfolio() {
   // Structural bound for the flattened cross-candidate sweep: a chain
   // holds at most global_max_windows + 1 live candidates, each carrying
   // at most one signature per query. Reserving it up front keeps
-  // TestPooledBitSeqBatch allocation-free in steady state — stochastic
-  // pruning makes the flat total fluctuate, so a warmup high-water mark
-  // alone does not bound it.
+  // TestBitCands allocation-free in steady state — stochastic pruning
+  // makes the flat total fluctuate, so a warmup high-water mark alone does
+  // not bound it.
   const size_t bound = static_cast<size_t>(max_windows + 1) * n;
   scratch_.handle_buf.reserve(bound);
   scratch_.eq_buf.reserve(bound);
-  scratch_.less_buf.reserve(bound);
-  // The union slow path of MergePooledBit only runs after a Lemma-2 prune
-  // desyncs a block's query set, and Sequential completions only when a
-  // window leaves a query out of R_L — events warmup may never see, so
-  // these buffers cannot rely on a high-water mark. One entry per query
-  // bounds the merge union and the window's completions.
+  // A Geometric merge union grows with a Lemma-2 prune that desyncs two
+  // blocks' query sets, and Sequential completions only when a window
+  // leaves a query out of R_L — events warmup may never see, so these
+  // buffers cannot rely on a high-water mark. One entry per query bounds
+  // the merge union and the window's completions.
   scratch_.merge_sigs.reserve(n);
-  scratch_.merge_or_idx.reserve(n);
   scratch_.window_sig_set.reserve(n);
   scratch_.or_dst.reserve(n);
   scratch_.or_src.reserve(n);
@@ -249,6 +251,17 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   // bound a shell's list; one entry per query does (DESIGN.md §11).
   c->sigs.reserve(static_cast<size_t>(portfolio.num_ordinals()));
   sketch::SignaturePool& pool = *sig_pool_;
+  // Builds q's signature into c unless it is already over Lemma 2's bound.
+  const auto build = [&](int q) {
+    const sketch::SignaturePool::Handle h = pool.Allocate();
+    pool.BuildFromSketches(h, wsk, portfolio.query(q).sketch);
+    if (pool.NumLess(h) > max_less_) {
+      pool.Free(h);
+      return false;
+    }
+    c->sigs.push_back(PooledSigRef{q, h});
+    return true;
+  };
   if (config_.use_index) {
     const index::HashQueryIndex* index = portfolio.index();
     if (index == nullptr) return;
@@ -257,27 +270,13 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
     VCD_OBS_SPAN(metrics_.probe_ns);
     index->ProbeRelatedInto(wsk, &scratch_.related_seen, &scratch_.related);
     for (int q : scratch_.related) {
-      const sketch::SignaturePool::Handle h = pool.Allocate();
-      pool.BuildFromSketches(h, wsk, portfolio.query(q).sketch);
-      if (config_.enable_pruning && !pool.SatisfiesLemma2(h, config_.delta)) {
-        pool.Free(h);
-        continue;
-      }
-      ++stats_.bitsig_builds;
-      c->sigs.push_back(PooledSigRef{q, h});
+      if (build(q)) ++stats_.bitsig_builds;
     }
   } else {
     for (int q = 0; q < portfolio.num_ordinals(); ++q) {
       if (!portfolio.query(q).active) continue;
-      const sketch::SignaturePool::Handle h = pool.Allocate();
-      pool.BuildFromSketches(h, wsk, portfolio.query(q).sketch);
       ++stats_.bitsig_builds;
-      if (config_.enable_pruning && !pool.SatisfiesLemma2(h, config_.delta)) {
-        ++stats_.candidates_pruned;
-        pool.Free(h);
-        continue;
-      }
-      c->sigs.push_back(PooledSigRef{q, h});
+      if (!build(q)) ++stats_.candidates_pruned;
     }
   }
 }
@@ -300,110 +299,57 @@ void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
   }
 }
 
+void CopyDetector::OrAndPrune(std::vector<PooledSigRef>* sigs) {
+  sketch::SignaturePool& pool = *sig_pool_;
+  const std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
+  std::vector<int>& less = scratch_.or_less;
+  const size_t n = dst.size();
+  stats_.bitsig_ors += static_cast<int64_t>(n);
+  less.resize(n);
+  pool.OrRange(dst.data(), scratch_.or_src.data(), n, less.data());
+  // dst lists the OR'd entries' handles in list order, so one pass pairs
+  // each with its fused count; an entry not OR'd kept its bits and still
+  // satisfies Lemma 2.
+  size_t out = 0;
+  size_t t = 0;
+  for (const PooledSigRef s : *sigs) {
+    const bool ored = t < n && s.sig == dst[t];
+    if (ored && less[t++] > max_less_) {
+      ++stats_.candidates_pruned;
+      pool.Free(s.sig);
+      continue;
+    }
+    (*sigs)[out++] = s;
+  }
+  sigs->resize(out);
+}
+
 void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& newer) {
   sketch::SignaturePool& pool = *sig_pool_;
-  // Fast path: without the index, two blocks track the same query set
-  // until a Lemma-2 prune or a subscription change sets them apart, making
-  // the union-merge the identity on older.sigs with every pair OR'd. Detect
-  // that with one cheap ordinal sweep and skip the merged-buffer
-  // bookkeeping — kernel call, prune decisions and stats are identical to
-  // the general path below.
-  bool same_queries = older.sigs.size() == newer.sigs.size();
-  for (size_t t = 0; same_queries && t < older.sigs.size(); ++t) {
-    same_queries = older.sigs[t].q == newer.sigs[t].q;
-  }
-  if (same_queries) {
-    const size_t n = older.sigs.size();
-    std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
-    std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
-    dst.clear();
-    src.clear();
-    for (size_t t = 0; t < n; ++t) {
-      dst.push_back(older.sigs[t].sig);
-      src.push_back(newer.sigs[t].sig);
-    }
-    stats_.bitsig_ors += static_cast<int64_t>(n);
-    if (!config_.enable_pruning) {
-      pool.OrRange(dst.data(), src.data(), n);
-    } else {
-      std::vector<int>& less = scratch_.or_less;
-      less.resize(n);
-      pool.OrRange(dst.data(), src.data(), n, less.data());
-      const double max_less =
-          static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
-      size_t out = 0;
-      for (size_t t = 0; t < n; ++t) {
-        if (static_cast<double>(less[t]) > max_less) {
-          ++stats_.candidates_pruned;
-          pool.Free(older.sigs[t].sig);
-        } else {
-          older.sigs[out++] = older.sigs[t];
-        }
-      }
-      older.sigs.resize(out);
-    }
-    older.num_windows += newer.num_windows;
-    older.end_frame = newer.end_frame;
-    older.end_time = newer.end_time;
-    return;
-  }
   // Union-merge into the scratch buffer: common ordinals are queued for one
-  // batched OrRange pass; newer-only entries are cloned (the newer candidate
-  // keeps ownership of its own slots and is retired by its container).
+  // batched OR; newer-only entries are cloned (the newer candidate keeps
+  // ownership of its own slots and is retired by its container).
   std::vector<PooledSigRef>& merged = scratch_.merge_sigs;
-  std::vector<sketch::SignaturePool::Handle>& or_dst = scratch_.or_dst;
-  std::vector<sketch::SignaturePool::Handle>& or_src = scratch_.or_src;
-  std::vector<int>& or_idx = scratch_.merge_or_idx;
-  const bool pruning = config_.enable_pruning;
+  std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
+  std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
   merged.clear();
-  or_dst.clear();
-  or_src.clear();
-  if (pruning) or_idx.clear();
+  dst.clear();
+  src.clear();
   size_t i = 0, j = 0;
   while (i < older.sigs.size() || j < newer.sigs.size()) {
     if (j >= newer.sigs.size() ||
         (i < older.sigs.size() && older.sigs[i].q < newer.sigs[j].q)) {
-      if (pruning) or_idx.push_back(-1);
       merged.push_back(older.sigs[i++]);
     } else if (i >= older.sigs.size() || newer.sigs[j].q < older.sigs[i].q) {
       const PooledSigRef& s = newer.sigs[j++];
-      if (pruning) or_idx.push_back(-1);
       merged.push_back(PooledSigRef{s.q, pool.Clone(s.sig)});
     } else {
-      PooledSigRef out = older.sigs[i++];
-      if (pruning) or_idx.push_back(static_cast<int>(or_dst.size()));
-      or_dst.push_back(out.sig);
-      or_src.push_back(newer.sigs[j++].sig);
-      ++stats_.bitsig_ors;
-      merged.push_back(out);
+      dst.push_back(older.sigs[i].sig);
+      src.push_back(newer.sigs[j++].sig);
+      merged.push_back(older.sigs[i++]);
     }
   }
-  if (!pruning) {
-    pool.OrRange(or_dst.data(), or_src.data(), or_dst.size());
-  } else {
-    // Fused pass: the OR kernel hands back NumLess of each combined slot,
-    // so the Lemma-2 merge scan costs no extra slab traversal. Non-OR'd
-    // entries (cloned newer-only / carried older-only) are scanned
-    // individually — the same prune decision PruneScan would make.
-    std::vector<int>& or_less = scratch_.or_less;
-    or_less.resize(or_dst.size());
-    pool.OrRange(or_dst.data(), or_src.data(), or_dst.size(), or_less.data());
-    const double max_less =
-        static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
-    size_t out = 0;
-    for (size_t t = 0; t < merged.size(); ++t) {
-      const int oi = or_idx[t];
-      const int less = oi >= 0 ? or_less[static_cast<size_t>(oi)]
-                               : pool.NumLess(merged[t].sig);
-      if (static_cast<double>(less) > max_less) {
-        ++stats_.candidates_pruned;
-        pool.Free(merged[t].sig);
-      } else {
-        merged[out++] = merged[t];
-      }
-    }
-    merged.resize(out);
-  }
+  OrAndPrune(&merged);
   older.sigs.swap(merged);
   older.num_windows += newer.num_windows;
   older.end_frame = newer.end_frame;
@@ -439,26 +385,7 @@ void CopyDetector::MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
     older.sigs[out++] = s;
   }
   older.sigs.resize(out);
-  stats_.bitsig_ors += static_cast<int64_t>(out);
-  if (!config_.enable_pruning) {
-    pool.OrRange(dst.data(), src.data(), out);
-  } else {
-    std::vector<int>& less = scratch_.or_less;
-    less.resize(out);
-    pool.OrRange(dst.data(), src.data(), out, less.data());
-    const double max_less =
-        static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
-    out = 0;
-    for (size_t t = 0; t < older.sigs.size(); ++t) {
-      if (static_cast<double>(less[t]) > max_less) {
-        ++stats_.candidates_pruned;
-        pool.Free(older.sigs[t].sig);
-      } else {
-        older.sigs[out++] = older.sigs[t];
-      }
-    }
-    older.sigs.resize(out);
-  }
+  OrAndPrune(&older.sigs);
   older.num_windows = num_windows;
   older.end_frame = fresh.end_frame;
   older.end_time = fresh.end_time;
@@ -503,77 +430,43 @@ void CopyDetector::MergePooledSketch(PooledSketchCand& older,
   older.end_time = newer.end_time;
 }
 
-bool CopyDetector::TestPooledBitCand(PooledBitCand& c) {
-  sketch::SignaturePool& pool = *sig_pool_;
-  const size_t n = c.sigs.size();
-  std::vector<sketch::SignaturePool::Handle>& hs = scratch_.handle_buf;
-  std::vector<int>& eq = scratch_.eq_buf;
-  std::vector<int>& less = scratch_.less_buf;
-  hs.clear();
-  for (const PooledSigRef& s : c.sigs) hs.push_back(s.sig);
-  eq.resize(n);
-  less.resize(n);
-  pool.NumEqualBatch(hs.data(), n, eq.data(), less.data());
-  return TestPooledBitCandCounted(c, eq.data(), less.data());
-}
-
-void CopyDetector::TestPooledBitSeqBatch() {
-  // Cross-candidate batched sweep for the sequential-bit order: flatten
-  // every live candidate's slot handles into ONE NumEqualBatch call — the
-  // SIMD backend evaluates 4–8 slots per vector pass and prefetches ahead
-  // across candidate boundaries — then run the per-candidate walks over the
-  // precomputed counts in the same order as the per-candidate path, so
-  // match emission, expiry and prune decisions are byte-identical.
+template <typename ForEachFn>
+void CopyDetector::TestBitCands(ForEachFn&& for_each) {
+  // One NumEqualBatch over the flattened handles of every candidate
+  // for_each visits — the SIMD backend evaluates 4–8 slots per vector pass
+  // and prefetches across candidate boundaries — then each candidate's
+  // walk in visit order.
   sketch::SignaturePool& pool = *sig_pool_;
   std::vector<sketch::SignaturePool::Handle>& hs = scratch_.handle_buf;
   std::vector<int>& eq = scratch_.eq_buf;
-  std::vector<int>& less = scratch_.less_buf;
   hs.clear();
-  pseq_bit_.ForEach([&](PooledBitCand& c) {
+  for_each([&](PooledBitCand& c) {
     for (const PooledSigRef& s : c.sigs) hs.push_back(s.sig);
   });
   eq.resize(hs.size());
-  less.resize(hs.size());
-  pool.NumEqualBatch(hs.data(), hs.size(), eq.data(), less.data());
-  size_t off = 0;
-  pseq_bit_.ForEach([&](PooledBitCand& c) {
-    const size_t n = c.sigs.size();
-    TestPooledBitCandCounted(c, eq.data() + off, less.data() + off);
-    off += n;
-  });
-}
-
-bool CopyDetector::TestPooledBitCandCounted(PooledBitCand& c, const int* eq,
-                                            const int* less) {
-  sketch::SignaturePool& pool = *sig_pool_;
-  const size_t n = c.sigs.size();
-  // Same arithmetic as BitSignature::SatisfiesLemma2 / Similarity.
-  const double less_bound =
-      static_cast<double>(config_.K) * (1.0 - config_.delta) + 1e-9;
+  pool.NumEqualBatch(hs.data(), hs.size(), eq.data());
   const int* caps = portfolio_->window_caps();
-  size_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    PooledSigRef& s = c.sigs[i];
-    // caps[q] is 0 once unsubscribed, so one packed-array compare covers
-    // both the active check and the per-query λL expiry.
-    if (c.num_windows > caps[s.q]) {
-      pool.Free(s.sig);  // unsubscribed or past per-query λL expiry: drop
-      continue;
+  const int* c_eq = eq.data();
+  for_each([&](PooledBitCand& c) {
+    const size_t n = c.sigs.size();
+    size_t out = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const PooledSigRef s = c.sigs[i];
+      // caps[q] is 0 once unsubscribed, so one packed-array compare covers
+      // both the active check and the per-query λL expiry.
+      if (c.num_windows > caps[s.q]) {
+        pool.Free(s.sig);
+        continue;
+      }
+      const double sim = static_cast<double>(c_eq[i]) / config_.K;
+      if (sim >= config_.delta) {
+        EmitMatch(s.q, c.start_frame, c.end_frame, c.start_time, c.end_time, sim);
+      }
+      c.sigs[out++] = s;
     }
-    if (config_.enable_pruning && static_cast<double>(less[i]) > less_bound) {
-      ++stats_.candidates_pruned;
-      pool.Free(s.sig);
-      continue;
-    }
-    const double sim = static_cast<double>(eq[i]) / config_.K;
-    if (sim >= config_.delta) {
-      EmitMatch(s.q, c.start_frame, c.end_frame, c.start_time, c.end_time, sim);
-    }
-    if (out != i) c.sigs[out] = s;
-    ++out;
-  }
-  c.sigs.resize(out);
-  return !c.sigs.empty();
+    c.sigs.resize(out);
+    c_eq += n;
+  });
 }
 
 bool CopyDetector::TestPooledSketchCand(PooledSketchCand& c) {
@@ -674,8 +567,7 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
   const sketch::Sketch& wsk = scratch_.window_sketch;
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
-  const int eff_max = EffectiveMaxWindows();
-  const int geo_visits = GeoMaxVisits();
+  const int max_windows = portfolio_->global_max_windows();
   if (bit) {
     const auto init = [&](PooledBitCand& c) { InitPooledBitCand(&c, window, wsk); };
     const auto merge = [&](PooledBitCand& older, const PooledBitCand& newer) {
@@ -686,7 +578,7 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
         pseq_bit_.Step(
-            eff_max, init,
+            max_windows, init,
             [&](PooledBitCand& older, const PooledBitCand& fresh) {
               MergeSeqBit(older, fresh, wsk);
             },
@@ -694,22 +586,23 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
         ReleaseWindowSignatures();
       }
       VCD_OBS_SPAN(metrics_.test_ns);
-      TestPooledBitSeqBatch();
+      TestBitCands([&](const auto& fn) { pseq_bit_.ForEach(fn); });
       pseq_bit_.RemoveIf([](const PooledBitCand& c) { return c.sigs.empty(); },
                          retire);
     } else {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pgeo_bit_.Step(eff_max, init, merge, retire);
+        pgeo_bit_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
       pgeo_bit_.VisitSuffixesInto(
-          eff_max, &scratch_.bit_cum, &scratch_.bit_tmp,
+          max_windows, &scratch_.bit_cum, &scratch_.bit_tmp,
           [&](PooledBitCand& dst, const PooledBitCand& src) {
             AssignPooledBit(&dst, src);
           },
-          merge, [&](PooledBitCand& c) { TestPooledBitCand(c); }, retire,
-          geo_visits);
+          merge,
+          [&](PooledBitCand& c) { TestBitCands([&](const auto& fn) { fn(c); }); },
+          retire);
       // Blocks are kept even when all their signatures prune away: their
       // window spans still participate in suffix-length accounting.
     }
@@ -724,23 +617,22 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
     if (seq) {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pseq_sketch_.Step(eff_max, init, merge, retire);
+        pseq_sketch_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
       pseq_sketch_.ForEach([&](PooledSketchCand& c) { TestPooledSketchCand(c); });
     } else {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pgeo_sketch_.Step(eff_max, init, merge, retire);
+        pgeo_sketch_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
       pgeo_sketch_.VisitSuffixesInto(
-          eff_max, &scratch_.sketch_cum, &scratch_.sketch_tmp,
+          max_windows, &scratch_.sketch_cum, &scratch_.sketch_tmp,
           [&](PooledSketchCand& dst, const PooledSketchCand& src) {
             AssignPooledSketch(&dst, src);
           },
-          merge, [&](PooledSketchCand& c) { TestPooledSketchCand(c); }, retire,
-          geo_visits);
+          merge, [&](PooledSketchCand& c) { TestPooledSketchCand(c); }, retire);
     }
   }
 }
@@ -867,6 +759,13 @@ Status CopyDetector::ValidateState() const {
         return Status::Internal("pooled candidate references a dead signature slot");
       }
       VCD_RETURN_IF_ERROR(sig_pool_->ToBitSignature(s.sig).Validate());
+      const int less = sig_pool_->NumLess(s.sig);
+      if (less > max_less_) {
+        return Status::Internal("signature for query ordinal " + std::to_string(s.q) +
+                                " has " + std::to_string(less) +
+                                " \"<\" positions, over Lemma 2's bound " +
+                                std::to_string(max_less_));
+      }
       ++bit_handles;
     }
     return Status::OK();

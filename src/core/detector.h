@@ -1,6 +1,5 @@
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <tuple>
 #include <optional>
@@ -248,7 +247,9 @@ class CopyDetector {
   /// lowered the bound), signature lists strictly
   /// sorted by query ordinal with in-range ordinals, related-query lists
   /// strictly sorted, and every bit signature well-formed with K matching
-  /// the config (BitSignature::Validate). It also checks the query table
+  /// the config (BitSignature::Validate) and within Lemma 2's bound (with
+  /// pruning on, at most ⌊K(1−δ)⌋ "<" positions; RestoreCkptState refuses a
+  /// snapshot signature over it). It also checks the query table
   /// and its index (Portfolio::ValidateState). Returns the first violation.
   /// Called from tests and, when config().validate_state is set, after
   /// every processed window.
@@ -317,12 +318,11 @@ class CopyDetector {
     /// Every entry is kInvalidHandle between windows.
     std::vector<sketch::SignaturePool::Handle> window_sig;
     std::vector<int> window_sig_set;  ///< ordinals whose window_sig is set
+    /// OrAndPrune's OR pairs, queued by the merges in list order.
     std::vector<sketch::SignaturePool::Handle> or_dst, or_src;
-    std::vector<sketch::SignaturePool::Handle> handle_buf;
-    std::vector<int> eq_buf, less_buf;       ///< NumEqualBatch outputs
-    std::vector<uint8_t> prune_buf;          ///< PruneScan output
-    std::vector<int> merge_or_idx;  ///< per merged sig: OR-queue index or -1
-    std::vector<int> or_less;       ///< fused OrRange NumLess output
+    std::vector<int> or_less;  ///< fused OrRange NumLess output
+    std::vector<sketch::SignaturePool::Handle> handle_buf;  ///< TestBitCands
+    std::vector<int> eq_buf;                 ///< NumEqualBatch output
     std::vector<int> merge_related;          ///< related-set union buffer
     PooledBitCand bit_cum, bit_tmp;          ///< geometric suffix shells
     PooledSketchCand sketch_cum, sketch_tmp;
@@ -352,12 +352,17 @@ class CopyDetector {
   void InitPooledSketchCand(PooledSketchCand* c,
                             const stream::BasicWindow& window,
                             const sketch::Sketch& wsk);
+  /// ORs scratch_.or_src[t] into scratch_.or_dst[t] — the handles of the
+  /// entries of \p sigs that absorb a window, queued in list order — and
+  /// drops each of those entries whose fused "<" count now exceeds
+  /// max_less_. The one place a live signature's bits change after its
+  /// build, so the one place Lemma 2 is checked after it.
+  void OrAndPrune(std::vector<PooledSigRef>* sigs);
   /// Merges Geometric block \p newer into \p older (Bit representation):
   /// the union of their signature lists, common queries OR'd and a query
-  /// only \p newer tracks cloned in, with the fused OrRange/NumLess Lemma-2
-  /// prune. A query one block lacks contributes no bits for that block's
-  /// windows, so the merged signature covers only part of the span
-  /// (DESIGN.md §6).
+  /// only \p newer tracks cloned in, then OrAndPrune. A query one block
+  /// lacks contributes no bits for that block's windows, so the merged
+  /// signature covers only part of the span (DESIGN.md §6).
   void MergePooledBit(PooledBitCand& older, const PooledBitCand& newer);
   /// Sequential order's merge of the \p fresh one-window candidate (window
   /// sketch \p wsk) into \p older (DESIGN.md §6): \p older keeps exactly
@@ -365,7 +370,7 @@ class CopyDetector {
   /// signature for its query — \p fresh's, or a completion built by
   /// WindowSignature — so it stays the exact OR over every absorbed window.
   /// Entries past their query's λL cap (removed queries included) are
-  /// dropped; the fused OR + NumLess Lemma-2 prune runs over the rest.
+  /// dropped; OrAndPrune runs over the rest.
   void MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
                    const sketch::Sketch& wsk);
   /// The current window's signature for query ordinal \p q when the fresh
@@ -378,20 +383,14 @@ class CopyDetector {
   /// Merges \p newer into \p older (Sketch representation) with the
   /// strided CombineMin kernel.
   void MergePooledSketch(PooledSketchCand& older, const PooledSketchCand& newer);
-  /// Tests a candidate against its related queries, emits matches, applies
-  /// per-query expiry and Lemma-2 pruning, using the NumEqualBatch slab
-  /// kernel. Returns true when the candidate still carries any live query
-  /// state.
-  bool TestPooledBitCand(PooledBitCand& c);
-  /// Sequential-order batched test sweep: one NumEqualBatch over the
-  /// flattened handles of every live candidate, then the per-candidate
-  /// walks in container order (byte-identical to calling TestPooledBitCand
-  /// per candidate, but the SIMD backend sees one long batch).
-  void TestPooledBitSeqBatch();
-  /// The per-candidate walk of TestPooledBitCand over precomputed
-  /// NumEqual/NumLess counts (c.sigs.size() entries each).
-  bool TestPooledBitCandCounted(PooledBitCand& c, const int* eq,
-                                const int* less);
+  /// Tests the Bit candidates `for_each(fn)` calls fn on (every Sequential
+  /// candidate, or one Geometric suffix) with one NumEqualBatch over all
+  /// their signatures: drops entries past their query's λL cap (removed
+  /// queries included) and emits a match for every other entry at
+  /// similarity ≥ δ. Lemma 2 needs no recheck here: no live signature
+  /// breaks it (ValidateState).
+  template <typename ForEachFn>
+  void TestBitCands(ForEachFn&& for_each);
   /// Tests a Sketch candidate (a sketch_pool_ slot) against its related
   /// queries and emits matches.
   bool TestPooledSketchCand(PooledSketchCand& c);
@@ -403,24 +402,6 @@ class CopyDetector {
   /// its lists (the container parks the shell for reuse afterwards).
   void RetirePooledBit(PooledBitCand* c);
   void RetirePooledSketch(PooledSketchCand* c);
-
-  /// The λL window cap with the QoS degrade cap applied: min(global, knob)
-  /// when the knob is set. Always <= the portfolio's global bound, so the
-  /// expiry bound ValidateState checks still holds through degrade/recover
-  /// cycles.
-  int EffectiveMaxWindows() const {
-    const int global = portfolio_->global_max_windows();
-    return degrade_.max_candidate_windows > 0 &&
-                   degrade_.max_candidate_windows < global
-               ? degrade_.max_candidate_windows
-               : global;
-  }
-
-  /// Geometric suffix-sweep visit budget: 1 (newest block only) while the
-  /// QoS degrade disabled the cumulative sweep, unlimited otherwise.
-  int GeoMaxVisits() const {
-    return degrade_.disable_geometric ? 1 : std::numeric_limits<int>::max();
-  }
 
   /// Emits a match for query ordinal \p q unless muted.
   void EmitMatch(int q, int64_t start_frame, int64_t end_frame, double start_time,
@@ -458,6 +439,11 @@ class CopyDetector {
   sketch::Sketcher sketcher_;
   std::optional<stream::BasicWindowAssembler> assembler_;
 
+  /// Lemma 2's bound, BitSignature::Lemma2MaxLess(K, δ), or INT_MAX with
+  /// pruning off: no live Bit signature holds more "<" positions. Checked
+  /// where bits change — after a build and after each OR — and by
+  /// ValidateState.
+  int max_less_ = 0;
   /// Set by Create(config) only; portfolio_ points at it then.
   std::unique_ptr<Portfolio> owned_portfolio_;
   Portfolio* portfolio_ = nullptr;

@@ -235,7 +235,6 @@ void SyncKernelMetrics(MetricsRegistry* registry) {
   sync("sig_or_range", load(c.or_range_calls), load(c.or_range_pairs));
   sync("sig_num_equal_batch", load(c.num_equal_batch_calls),
        load(c.num_equal_batch_sigs));
-  sync("sig_prune_scan", load(c.prune_scan_calls), load(c.prune_scan_calls));
   sync("sig_build", load(c.build_calls), load(c.build_calls));
   sync("sketch_combine_min", load(c.combine_min_calls),
        load(c.combine_min_calls));

@@ -76,10 +76,6 @@ Status QosConfig::Validate() const {
   if (degrade.probe_every_n < 1) {
     return Status::InvalidArgument("qos degrade probe_every_n must be >= 1");
   }
-  if (degrade.max_candidate_windows < 0) {
-    return Status::InvalidArgument(
-        "qos degrade max_candidate_windows must be >= 0");
-  }
   return Status::OK();
 }
 

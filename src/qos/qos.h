@@ -79,25 +79,12 @@ struct DegradeKnobs {
   /// extend candidate state timestamps but skip the similarity sweep and
   /// are counted in DetectorStats::qos_skipped_windows. 1 = every window.
   int probe_every_n = 1;
-  /// Tighter per-query cap on live candidate windows: the effective cap is
-  /// min(ceil(lambda*L/w), this). The Sequential combiner expires the
-  /// oldest windows past the cap, exactly like a shorter query. 0 = off.
-  int max_candidate_windows = 0;
-  /// Suppress the Geometric order's cumulative suffix sweep down to the
-  /// newest block only (the cheapest probe that can still match recent
-  /// copies). No effect on the Sequential order.
-  bool disable_geometric = false;
 
   /// True when every knob is at its identity value.
-  bool IsIdentity() const {
-    return probe_every_n == 1 && max_candidate_windows == 0 &&
-           !disable_geometric;
-  }
+  bool IsIdentity() const { return probe_every_n == 1; }
 
   friend bool operator==(const DegradeKnobs& a, const DegradeKnobs& b) {
-    return a.probe_every_n == b.probe_every_n &&
-           a.max_candidate_windows == b.max_candidate_windows &&
-           a.disable_geometric == b.disable_geometric;
+    return a.probe_every_n == b.probe_every_n;
   }
   friend bool operator!=(const DegradeKnobs& a, const DegradeKnobs& b) {
     return !(a == b);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cmath>
+
 #include "sketch/minhash.h"
 #include "util/bit_util.h"
 #include "util/status.h"
@@ -72,6 +74,14 @@ class BitSignature {
   /// number of "<" positions is at most K(1−δ).
   bool SatisfiesLemma2(double delta) const {
     return static_cast<double>(NumLess()) <= static_cast<double>(k_) * (1.0 - delta) + 1e-9;
+  }
+
+  /// Lemma 2's bound as one integer, ⌊K(1−δ)+1e-9⌋: a signature of \p k
+  /// hash functions satisfies Lemma 2 at \p delta iff NumLess() is at most
+  /// this. The detector computes it once and compares integers wherever
+  /// signature bits change.
+  static int Lemma2MaxLess(int k, double delta) {
+    return static_cast<int>(std::floor(static_cast<double>(k) * (1.0 - delta) + 1e-9));
   }
 
   /// \brief Structural invariant check (debug validator).

@@ -152,8 +152,7 @@ void SigOrRangeAvx2(uint64_t* slab, size_t stride, const uint32_t* dst,
 }
 
 void SigNumEqualBatchAvx2(const uint64_t* slab, size_t stride,
-                          const uint32_t* hs, size_t n, int* num_equal,
-                          int* num_less) {
+                          const uint32_t* hs, size_t n, int* num_equal) {
   const __m256i odd_mask =
       _mm256_set1_epi64x(static_cast<long long>(0xAAAAAAAAAAAAAAAAULL));
   size_t i = 0;
@@ -193,66 +192,10 @@ void SigNumEqualBatchAvx2(const uint64_t* slab, size_t stride,
     _mm256_store_si256(reinterpret_cast<__m256i*>(t), total);
     _mm256_store_si256(reinterpret_cast<__m256i*>(o), odd);
     for (int j = 0; j < 4; ++j) {
-      if (num_equal != nullptr) {
-        num_equal[i + j] = static_cast<int>(t[j] - 2 * o[j]);
-      }
-      if (num_less != nullptr) num_less[i + j] = static_cast<int>(o[j]);
+      num_equal[i + j] = static_cast<int>(t[j] - 2 * o[j]);
     }
   }
-  if (i < n) {
-    SigNumEqualBatch(slab, stride, hs + i, n - i,
-                     num_equal != nullptr ? num_equal + i : nullptr,
-                     num_less != nullptr ? num_less + i : nullptr);
-  }
-}
-
-size_t SigPruneScanAvx2(const uint64_t* slab, size_t stride,
-                        const uint32_t* hs, size_t n, int max_less,
-                        uint8_t* prune) {
-  const __m256i odd_mask =
-      _mm256_set1_epi64x(static_cast<long long>(0xAAAAAAAAAAAAAAAAULL));
-  const __m256i limit = _mm256_set1_epi64x(static_cast<long long>(max_less));
-  size_t pruned = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 < n) {
-      __builtin_prefetch(slab + WordIndex(stride, hs[i + 8], 0), 0);
-    }
-    __m256i odd = _mm256_setzero_si256();
-    const int dir = HalfRunDirection(hs + i);
-    if (dir != 0) {
-      const uint64_t* row = HalfRunRow(slab, stride, hs + i, dir);
-      for (size_t w = 0; w < stride; ++w, row += kLanes) {
-        const __m256i v =
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(row));
-        odd = _mm256_add_epi64(odd,
-                               PopCount64x4(_mm256_and_si256(v, odd_mask)));
-      }
-      if (dir < 0) odd = Reverse4(odd);
-    } else {
-      const __m256i base = SlotBases4(stride, hs + i);
-      for (size_t w = 0; w < stride; ++w) {
-        const __m256i idx = _mm256_add_epi64(
-            base, _mm256_set1_epi64x(static_cast<long long>(w * kLanes)));
-        const __m256i v = _mm256_i64gather_epi64(
-            reinterpret_cast<const long long*>(slab), idx, 8);
-        odd = _mm256_add_epi64(odd,
-                               PopCount64x4(_mm256_and_si256(v, odd_mask)));
-      }
-    }
-    const __m256i gt = _mm256_cmpgt_epi64(odd, limit);
-    alignas(32) int64_t g[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(g), gt);
-    for (int j = 0; j < 4; ++j) {
-      const uint8_t p = g[j] != 0 ? 1 : 0;
-      prune[i + j] = p;
-      pruned += p;
-    }
-  }
-  if (i < n) {
-    pruned += SigPruneScan(slab, stride, hs + i, n - i, max_less, prune + i);
-  }
-  return pruned;
+  if (i < n) SigNumEqualBatch(slab, stride, hs + i, n - i, num_equal + i);
 }
 
 void SigBuildAvx2(uint64_t* slot, const uint64_t* cand, const uint64_t* query,
@@ -294,7 +237,6 @@ const KernelOps* GetAvx2Ops() {
       "avx2",
       &avx2_impl::SigOrRangeAvx2,
       &avx2_impl::SigNumEqualBatchAvx2,
-      &avx2_impl::SigPruneScanAvx2,
       &avx2_impl::SigBuildAvx2,
       &avx2_impl::SketchCombineMin,
       &avx2_impl::SketchNumEqual,

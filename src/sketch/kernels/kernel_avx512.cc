@@ -150,8 +150,7 @@ void SigOrRangeAvx512(uint64_t* slab, size_t stride, const uint32_t* dst,
 }
 
 void SigNumEqualBatchAvx512(const uint64_t* slab, size_t stride,
-                            const uint32_t* hs, size_t n, int* num_equal,
-                            int* num_less) {
+                            const uint32_t* hs, size_t n, int* num_equal) {
   const __m512i odd_mask = OddMask512();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -186,68 +185,12 @@ void SigNumEqualBatchAvx512(const uint64_t* slab, size_t stride,
             odd, _mm512_popcnt_epi64(_mm512_and_si512(v, odd_mask)));
       }
     }
-    if (num_equal != nullptr) {
-      // NumEqual = total - 2*odd, per lane.
-      const __m512i eq =
-          _mm512_sub_epi64(total, _mm512_add_epi64(odd, odd));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(num_equal + i),
-                          _mm512_cvtepi64_epi32(eq));
-    }
-    if (num_less != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(num_less + i),
-                          _mm512_cvtepi64_epi32(odd));
-    }
+    // NumEqual = total - 2*odd, per lane.
+    const __m512i eq = _mm512_sub_epi64(total, _mm512_add_epi64(odd, odd));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(num_equal + i),
+                        _mm512_cvtepi64_epi32(eq));
   }
-  if (i < n) {
-    SigNumEqualBatch(slab, stride, hs + i, n - i,
-                     num_equal != nullptr ? num_equal + i : nullptr,
-                     num_less != nullptr ? num_less + i : nullptr);
-  }
-}
-
-size_t SigPruneScanAvx512(const uint64_t* slab, size_t stride,
-                          const uint32_t* hs, size_t n, int max_less,
-                          uint8_t* prune) {
-  const __m512i odd_mask = OddMask512();
-  const __m512i limit = _mm512_set1_epi64(static_cast<long long>(max_less));
-  size_t pruned = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    if (i + 16 < n) {
-      __builtin_prefetch(slab + WordIndex(stride, hs[i + 8], 0), 0);
-      __builtin_prefetch(slab + WordIndex(stride, hs[i + 16], 0), 0);
-    }
-    __m512i odd = _mm512_setzero_si512();
-    const int dir = LaneRunDirection(hs + i);
-    if (dir != 0) {
-      const uint64_t* row = RunRow(slab, stride, hs + i, dir);
-      for (size_t w = 0; w < stride; ++w, row += kLanes) {
-        const __m512i v = _mm512_load_si512(row);
-        odd = _mm512_add_epi64(
-            odd, _mm512_popcnt_epi64(_mm512_and_si512(v, odd_mask)));
-      }
-      if (dir < 0) odd = Reverse8(odd);
-    } else {
-      const __m512i base = SlotBases8(stride, hs + i);
-      for (size_t w = 0; w < stride; ++w) {
-        const __m512i idx = _mm512_add_epi64(
-            base, _mm512_set1_epi64(static_cast<long long>(w * kLanes)));
-        const __m512i v = _mm512_mask_i64gather_epi64(
-            _mm512_setzero_si512(), 0xff, idx, slab, 8);
-        odd = _mm512_add_epi64(
-            odd, _mm512_popcnt_epi64(_mm512_and_si512(v, odd_mask)));
-      }
-    }
-    const __mmask8 gt = _mm512_cmpgt_epi64_mask(odd, limit);
-    for (int j = 0; j < 8; ++j) {
-      prune[i + j] = (gt >> j) & 1;
-    }
-    pruned += std::popcount(static_cast<unsigned>(gt));
-  }
-  if (i < n) {
-    pruned += SigPruneScan(slab, stride, hs + i, n - i, max_less, prune + i);
-  }
-  return pruned;
+  if (i < n) SigNumEqualBatch(slab, stride, hs + i, n - i, num_equal + i);
 }
 
 void SigBuildAvx512(uint64_t* slot, const uint64_t* cand,
@@ -279,7 +222,6 @@ const KernelOps* GetAvx512Ops() {
       "avx512",
       &avx512_impl::SigOrRangeAvx512,
       &avx512_impl::SigNumEqualBatchAvx512,
-      &avx512_impl::SigPruneScanAvx512,
       &avx512_impl::SigBuildAvx512,
       &avx512_impl::SketchCombineMin,
       &avx512_impl::SketchNumEqual,

@@ -27,7 +27,6 @@ const KernelOps* GetNeonOps() {
       "neon",
       &neon_impl::SigOrRange,
       &neon_impl::SigNumEqualBatch,
-      &neon_impl::SigPruneScan,
       &neon_impl::SigBuild,
       &neon_impl::SketchCombineMin,
       &neon_impl::SketchNumEqual,

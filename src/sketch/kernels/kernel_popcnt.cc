@@ -30,7 +30,6 @@ const KernelOps* GetPopcntOps() {
       "popcnt",
       &popcnt_impl::SigOrRange,
       &popcnt_impl::SigNumEqualBatch,
-      &popcnt_impl::SigPruneScan,
       &popcnt_impl::SigBuild,
       &popcnt_impl::SketchCombineMin,
       &popcnt_impl::SketchNumEqual,

@@ -23,7 +23,6 @@ const KernelOps* GetScalarOps() {
       "scalar",
       &scalar_impl::SigOrRange,
       &scalar_impl::SigNumEqualBatch,
-      &scalar_impl::SigPruneScan,
       &scalar_impl::SigBuild,
       &scalar_impl::SketchCombineMin,
       &scalar_impl::SketchNumEqual,

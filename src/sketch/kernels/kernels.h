@@ -102,17 +102,9 @@ struct KernelOps {
   void (*sig_or_range)(uint64_t* slab, size_t stride, const uint32_t* dst,
                        const uint32_t* src, size_t n, int* num_less_out);
 
-  /// NumEqual / NumLess of n slots in one pass; either output may be null.
+  /// NumEqual of n slots in one pass.
   void (*sig_num_equal_batch)(const uint64_t* slab, size_t stride,
-                              const uint32_t* hs, size_t n, int* num_equal,
-                              int* num_less);
-
-  /// Lemma-2 scan: prune[i] = (NumLess(hs[i]) > max_less). Returns the
-  /// number pruned. \p max_less is the pre-floored integer threshold
-  /// ⌊K(1−δ)+1e-9⌋, so the comparison is exact across ISAs.
-  size_t (*sig_prune_scan)(const uint64_t* slab, size_t stride,
-                           const uint32_t* hs, size_t n, int max_less,
-                           uint8_t* prune);
+                              const uint32_t* hs, size_t n, int* num_equal);
 
   /// Fills a freshly zeroed slot with the signature of \p cand against
   /// \p query (k min-hash values each). \p slot is the lane-strided slot
@@ -173,7 +165,6 @@ struct KernelCounters {
   std::atomic<uint64_t> or_range_pairs{0};
   std::atomic<uint64_t> num_equal_batch_calls{0};
   std::atomic<uint64_t> num_equal_batch_sigs{0};
-  std::atomic<uint64_t> prune_scan_calls{0};
   std::atomic<uint64_t> build_calls{0};
   std::atomic<uint64_t> combine_min_calls{0};
   std::atomic<uint64_t> sketch_num_equal_calls{0};

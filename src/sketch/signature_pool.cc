@@ -1,6 +1,5 @@
 #include "sketch/signature_pool.h"
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -98,23 +97,12 @@ void SignaturePool::OrRange(const Handle* dst, const Handle* src, size_t n,
   ops_->sig_or_range(slab_.data(), stride_, dst, src, n, num_less_out);
 }
 
-void SignaturePool::NumEqualBatch(const Handle* hs, size_t n, int* num_equal,
-                                  int* num_less) const {
+void SignaturePool::NumEqualBatch(const Handle* hs, size_t n,
+                                  int* num_equal) const {
   auto& counters = kernels::Counters();
   counters.num_equal_batch_calls.fetch_add(1, std::memory_order_relaxed);
   counters.num_equal_batch_sigs.fetch_add(n, std::memory_order_relaxed);
-  ops_->sig_num_equal_batch(slab_.data(), stride_, hs, n, num_equal, num_less);
-}
-
-size_t SignaturePool::PruneScan(const Handle* hs, size_t n, double delta,
-                                uint8_t* prune) const {
-  kernels::Counters().prune_scan_calls.fetch_add(1, std::memory_order_relaxed);
-  // Prune iff odd > K(1−δ)+1e-9. odd is integral, so the double comparison
-  // is equivalent to the exact integer comparison odd > ⌊K(1−δ)+1e-9⌋ —
-  // pre-flooring here keeps every ISA level bit-exact.
-  const double max_less_d = static_cast<double>(k_) * (1.0 - delta) + 1e-9;
-  const int max_less = static_cast<int>(std::floor(max_less_d));
-  return ops_->sig_prune_scan(slab_.data(), stride_, hs, n, max_less, prune);
+  ops_->sig_num_equal_batch(slab_.data(), stride_, hs, n, num_equal);
 }
 
 Status SignaturePool::Validate() const {

@@ -24,8 +24,8 @@
 ///    backing memory) and slot reuse never invalidate a live handle;
 ///  - `Free` pushes the slot onto a free-list and never shrinks or
 ///    compacts the slab, so candidate expiry is O(1) and allocation-free;
-///  - the batch kernels (`OrRange`, `NumEqualBatch`, `PruneScan`,
-///    `BuildFromSketches`) dispatch through a `kernels::KernelOps` table —
+///  - the batch kernels (`OrRange`, `NumEqualBatch`, `BuildFromSketches`)
+///    dispatch through a `kernels::KernelOps` table —
 ///    the widest SIMD level the CPU supports, chosen once at startup
 ///    (DESIGN.md §15) — and evaluate 4–8 slots per vector pass.
 ///
@@ -124,11 +124,6 @@ class SignaturePool {
   double Similarity(Handle h) const {
     return k_ > 0 ? static_cast<double>(NumEqual(h)) / k_ : 0.0;
   }
-  /// Lemma 2 viability of slot \p h at threshold \p delta.
-  bool SatisfiesLemma2(Handle h, double delta) const {
-    return static_cast<double>(NumLess(h)) <=
-           static_cast<double>(k_) * (1.0 - delta) + 1e-9;
-  }
 
   /// Materializes slot \p h as a scalar BitSignature (reference/debug path;
   /// copies the raw words bit-faithfully, including any corruption, so
@@ -145,16 +140,8 @@ class SignaturePool {
   void OrRange(const Handle* dst, const Handle* src, size_t n,
                int* num_less_out = nullptr);
 
-  /// Computes NumEqual and NumLess for n slots in one pass.
-  /// \p num_equal / \p num_less must hold n ints; either may be null.
-  void NumEqualBatch(const Handle* hs, size_t n, int* num_equal,
-                     int* num_less) const;
-
-  /// Lemma-2 scan: sets `prune[i] = 1` when slot `hs[i]` can no longer
-  /// reach threshold \p delta (N_s > K(1−δ)), else 0. Returns the number
-  /// of pruned slots.
-  size_t PruneScan(const Handle* hs, size_t n, double delta,
-                   uint8_t* prune) const;
+  /// Computes NumEqual of n slots in one pass into \p num_equal (n ints).
+  void NumEqualBatch(const Handle* hs, size_t n, int* num_equal) const;
 
   /// \brief Structural invariant check (debug validator).
   ///

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -201,18 +200,13 @@ class GeometricCandidates {
   /// candidate; `retire(C&)` releases a shell's external resources. Using
   /// two shells (\p cum and \p tmp) makes the whole sweep allocation-free
   /// for arena-backed payloads. Visiting stops once a cumulative candidate
-  /// would exceed \p max_windows, or after \p max_visits candidates were
-  /// visited — `max_visits = 1` is the QoS degraded mode that probes only
-  /// the newest block (qos::DegradeKnobs::disable_geometric).
+  /// would exceed \p max_windows.
   template <typename AssignFn, typename MergeFn, typename VisitFn,
             typename RetireFn>
   void VisitSuffixesInto(int max_windows, C* cum, C* tmp, AssignFn&& assign,
-                         MergeFn&& merge, VisitFn&& visit, RetireFn&& retire,
-                         int max_visits = std::numeric_limits<int>::max())
-      const {
-    if (max_visits <= 0) return;
+                         MergeFn&& merge, VisitFn&& visit,
+                         RetireFn&& retire) const {
     bool have = false;
-    int visited = 0;
     for (const auto& slot : ladder_) {
       if (!slot.has_value()) continue;
       if (!have) {
@@ -227,7 +221,6 @@ class GeometricCandidates {
       }
       if (cum->num_windows > max_windows) break;
       visit(*cum);
-      if (++visited >= max_visits) break;
     }
     if (have) retire(*cum);
   }

@@ -4,6 +4,7 @@
 
 #include "util/logging.h"
 
+#include <algorithm>
 #include <set>
 
 #include "core/evaluation.h"
@@ -360,6 +361,44 @@ TEST(CopyDetectorTest, RemovingLongestQueryMidStreamKeepsStateValid) {
       }
       EXPECT_EQ(det->stats().windows, restored->stats().windows);
     }
+  }
+}
+
+TEST(CopyDetectorTest, RestoreRefusesSignatureOverLemma2Bound) {
+  // Every live Bit signature satisfies Lemma 2, checked where its bits
+  // change. A restore writes bits too: a snapshot signature that is "<" at
+  // every position is over the bound, and only a detector with pruning off
+  // may take it.
+  for (auto order : {CombinationOrder::kSequential, CombinationOrder::kGeometric}) {
+    SCOPED_TRACE(CombinationOrderName(order));
+    Scenario s;
+    DetectorConfig c = SmallConfig();
+    c.order = order;
+    auto det = CopyDetector::Create(c).value();
+    ASSERT_TRUE(det->AddQueryCells(1, s.query, 16.0).ok());
+    ASSERT_TRUE(World::Feed(det.get(), s.query, 0).ok());
+    DetectorCkptState snapshot = det->ExportCkptState();
+    CkptCandidate::Sig* sig = nullptr;
+    for (CkptCandidate& cand : snapshot.candidates) {
+      if (!cand.sigs.empty()) sig = &cand.sigs.front();
+    }
+    ASSERT_NE(sig, nullptr);
+    // 2K bits, every relation pair (1, 1); the tail bits stay zero.
+    std::fill(sig->words.begin(), sig->words.end(), ~uint64_t{0});
+    const size_t tail = (2 * static_cast<size_t>(c.K)) % 64;
+    if (tail != 0) sig->words.back() = (uint64_t{1} << tail) - 1;
+
+    auto restored = CopyDetector::Create(c).value();
+    ASSERT_TRUE(restored->AddQueryCells(1, s.query, 16.0).ok());
+    const Status st = restored->RestoreCkptState(snapshot);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.ToString().find("Lemma 2"), std::string::npos) << st.ToString();
+
+    c.enable_pruning = false;
+    auto unpruned = CopyDetector::Create(c).value();
+    ASSERT_TRUE(unpruned->AddQueryCells(1, s.query, 16.0).ok());
+    const Status ok = unpruned->RestoreCkptState(snapshot);
+    EXPECT_TRUE(ok.ok()) << ok.ToString();
   }
 }
 

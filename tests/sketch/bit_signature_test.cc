@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -120,6 +121,35 @@ TEST(BitSignatureTest, Lemma2Threshold) {
   EXPECT_TRUE(sig.SatisfiesLemma2(0.7));
   sig.SetRelation(3, 1, 5);  // fourth "<"
   EXPECT_FALSE(sig.SatisfiesLemma2(0.7));
+}
+
+TEST(BitSignatureTest, Lemma2MaxLessAgreesWithSatisfiesLemma2) {
+  // The detector prunes on the integer bound alone, so it must draw the
+  // line where the reference does for every reachable NumLess — also at
+  // the δ where K(1−δ) is an integer and the line sits on an attained
+  // count.
+  Rng rng(23);
+  for (int k : {1, 16, 64, 800, 3000}) {
+    std::vector<double> deltas;
+    for (int i = 0; i < 20; ++i) deltas.push_back(rng.UniformDouble(0.0, 1.0));
+    for (int j : {0, 1, k / 3, k / 2, k - 1, k}) {
+      deltas.push_back(1.0 - static_cast<double>(j) / k);
+    }
+    for (int j = 0; j < 20; ++j) {
+      deltas.push_back(
+          1.0 - static_cast<double>(rng.Uniform(static_cast<uint64_t>(k) + 1)) / k);
+    }
+    BitSignature sig(k);
+    for (int less = 0; less <= k; ++less) {
+      ASSERT_EQ(sig.NumLess(), less);
+      for (double delta : deltas) {
+        ASSERT_EQ(less <= BitSignature::Lemma2MaxLess(k, delta),
+                  sig.SatisfiesLemma2(delta))
+            << "K=" << k << " delta=" << delta << " NumLess=" << less;
+      }
+      if (less < k) sig.SetRelation(less, 0, 1);  // one more "<"
+    }
+  }
 }
 
 TEST(BitSignatureTest, Lemma2MonotoneUnderOr) {

@@ -92,6 +92,10 @@ expect_flag_error "bad --degrade-policy key" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --degrade-policy=banana=1 --qos
 expect_flag_error "zero --degrade-policy probe" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --degrade-policy=probe=0 --qos
+expect_flag_error "removed --degrade-policy cap" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --degrade-policy=cap=16 --qos
+expect_flag_error "removed --degrade-policy nogeo" \
+  monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --degrade-policy=nogeo --qos
 expect_flag_error "negative --qos-tick-ms" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 --qos-tick-ms=-1 --qos
 
@@ -112,7 +116,7 @@ expect_loader_failure "--kernel=scalar + missing db" \
 expect_loader_failure "valid qos flags + missing db" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
   --push-deadline-ms=250 --qos-tick-ms=50 --priority-map=1=high \
-  --degrade-policy=probe=2,cap=16,nogeo --qos
+  --degrade-policy=probe=2 --qos
 expect_loader_failure "valid flags + missing db" \
   monitor "$NO_SUCH_DB" "$NO_SUCH_STREAM" --threads=2 \
   --on-corruption=quarantine --watchdog-ms=250

@@ -20,7 +20,7 @@
 ///           [--throttle-ms N]
 ///           [--qos --qos-tick-ms N --push-deadline-ms N]
 ///           [--priority-map IDX=high|normal|low[,...]]
-///           [--degrade-policy probe=N,cap=N,nogeo]
+///           [--degrade-policy probe=N]
 ///   vcdctl metrics [--format=json|prom]
 ///   vcdctl kernels
 
@@ -413,8 +413,7 @@ Status ParsePriorityMap(const std::string& spec, size_t num_files,
 }
 
 /// Parses a --degrade-policy spec, a comma list of `probe=N` (combine only
-/// every Nth basic window), `cap=N` (per-stream candidate-window cap) and
-/// `nogeo` (disable the Geometric combination order while degraded).
+/// every Nth basic window while degraded).
 Status ParseDegradePolicy(const std::string& spec, qos::DegradeKnobs* out) {
   if (spec.empty()) return Status::OK();
   size_t start = 0;
@@ -424,9 +423,7 @@ Status ParseDegradePolicy(const std::string& spec, qos::DegradeKnobs* out) {
     if (last) end = spec.size();
     const std::string entry = spec.substr(start, end - start);
     const size_t eq = entry.find('=');
-    if (entry == "nogeo") {
-      out->disable_geometric = true;
-    } else if (eq != std::string::npos && eq > 0 && eq + 1 < entry.size()) {
+    if (eq != std::string::npos && eq > 0 && eq + 1 < entry.size()) {
       const std::string key = entry.substr(0, eq);
       const std::string val = entry.substr(eq + 1);
       char* endp = nullptr;
@@ -440,18 +437,13 @@ Status ParseDegradePolicy(const std::string& spec, qos::DegradeKnobs* out) {
           return Status::InvalidArgument("--degrade-policy probe must be >= 1");
         }
         out->probe_every_n = static_cast<int>(n);
-      } else if (key == "cap") {
-        if (n < 0) {
-          return Status::InvalidArgument("--degrade-policy cap must be >= 0");
-        }
-        out->max_candidate_windows = static_cast<int>(n);
       } else {
         return Status::InvalidArgument("--degrade-policy key '" + key +
-                                       "' is not probe, cap or nogeo");
+                                       "' is not probe");
       }
     } else {
       return Status::InvalidArgument("--degrade-policy entry '" + entry +
-                                     "' is not probe=N, cap=N or nogeo");
+                                     "' is not probe=N");
     }
     if (last) break;
     start = end + 1;
@@ -461,7 +453,7 @@ Status ParseDegradePolicy(const std::string& spec, qos::DegradeKnobs* out) {
 
 /// Builds the governor config from already-validated monitor flags. With
 /// --qos but no --degrade-policy, Degraded mode defaults to probing every
-/// 2nd window with the Geometric order off.
+/// 2nd window.
 qos::QosConfig BuildQosConfig(const Args& a) {
   qos::QosConfig qc;
   qc.enabled = a.options.count("qos") > 0;
@@ -469,7 +461,6 @@ qos::QosConfig BuildQosConfig(const Args& a) {
   const std::string dp = a.Str("degrade-policy", "");
   if (dp.empty()) {
     qc.degrade.probe_every_n = 2;
-    qc.degrade.disable_geometric = true;
   } else {
     (void)ParseDegradePolicy(dp, &qc.degrade);  // validated in CmdMonitor
   }
@@ -828,7 +819,7 @@ void MonitorUsage() {
                "--throttle-ms N "
                "--qos --qos-tick-ms N --push-deadline-ms N "
                "--priority-map IDX=high|normal|low[,...] "
-               "--degrade-policy probe=N,cap=N,nogeo]\n");
+               "--degrade-policy probe=N]\n");
 }
 
 int CmdMonitor(const Args& a) {
