@@ -196,12 +196,12 @@ Status CopyDetector::Finish() {
 void CopyDetector::ResetStream() {
   assembler_.emplace(
       stream::BasicWindowAssembler::Create(config_.window_seconds).value());
-  const auto retire_bit = [&](PooledBitCand& c) { RetirePooledBit(&c); };
-  const auto retire_sketch = [&](PooledSketchCand& c) { RetirePooledSketch(&c); };
-  pseq_bit_.Clear(retire_bit);
-  pseq_sketch_.Clear(retire_sketch);
-  pgeo_bit_.Clear(retire_bit);
-  pgeo_sketch_.Clear(retire_sketch);
+  const auto retire_bit = [&](BitCand& c) { RetireBit(&c); };
+  const auto retire_sketch = [&](SketchCand& c) { RetireSketch(&c); };
+  seq_bit_.Clear(retire_bit);
+  seq_sketch_.Clear(retire_sketch);
+  geo_bit_.Clear(retire_bit);
+  geo_sketch_.Clear(retire_sketch);
   span_bound_ = portfolio_->global_max_windows();
   matches_.clear();
   stats_ = DetectorStats{};
@@ -237,9 +237,8 @@ void CopyDetector::EmitMatch(int q, int64_t start_frame, int64_t end_frame,
 
 // --- candidate operations -------------------------------------------------
 
-void CopyDetector::InitPooledBitCand(PooledBitCand* c,
-                                     const stream::BasicWindow& window,
-                                     const sketch::Sketch& wsk) {
+void CopyDetector::InitBitCand(BitCand* c, const stream::BasicWindow& window,
+                               const sketch::Sketch& wsk) {
   c->num_windows = 1;
   c->start_frame = window.start_frame;
   c->end_frame = window.end_frame;
@@ -259,7 +258,7 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
       pool.Free(h);
       return false;
     }
-    c->sigs.push_back(PooledSigRef{q, h});
+    c->sigs.push_back(SigRef{q, h});
     return true;
   };
   if (config_.use_index) {
@@ -281,9 +280,8 @@ void CopyDetector::InitPooledBitCand(PooledBitCand* c,
   }
 }
 
-void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
-                                        const stream::BasicWindow& window,
-                                        const sketch::Sketch& wsk) {
+void CopyDetector::InitSketchCand(SketchCand* c, const stream::BasicWindow& window,
+                                  const sketch::Sketch& wsk) {
   c->num_windows = 1;
   c->start_frame = window.start_frame;
   c->end_frame = window.end_frame;
@@ -299,7 +297,7 @@ void CopyDetector::InitPooledSketchCand(PooledSketchCand* c,
   }
 }
 
-void CopyDetector::OrAndPrune(std::vector<PooledSigRef>* sigs) {
+void CopyDetector::OrAndPrune(std::vector<SigRef>* sigs) {
   sketch::SignaturePool& pool = *sig_pool_;
   const std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
   std::vector<int>& less = scratch_.or_less;
@@ -312,7 +310,7 @@ void CopyDetector::OrAndPrune(std::vector<PooledSigRef>* sigs) {
   // satisfies Lemma 2.
   size_t out = 0;
   size_t t = 0;
-  for (const PooledSigRef s : *sigs) {
+  for (const SigRef s : *sigs) {
     const bool ored = t < n && s.sig == dst[t];
     if (ored && less[t++] > max_less_) {
       ++stats_.candidates_pruned;
@@ -324,12 +322,12 @@ void CopyDetector::OrAndPrune(std::vector<PooledSigRef>* sigs) {
   sigs->resize(out);
 }
 
-void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& newer) {
+void CopyDetector::MergeGeoBit(BitCand& older, const BitCand& newer) {
   sketch::SignaturePool& pool = *sig_pool_;
   // Union-merge into the scratch buffer: common ordinals are queued for one
   // batched OR; newer-only entries are cloned (the newer candidate keeps
   // ownership of its own slots and is retired by its container).
-  std::vector<PooledSigRef>& merged = scratch_.merge_sigs;
+  std::vector<SigRef>& merged = scratch_.merge_sigs;
   std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
   std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
   merged.clear();
@@ -341,8 +339,8 @@ void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& new
         (i < older.sigs.size() && older.sigs[i].q < newer.sigs[j].q)) {
       merged.push_back(older.sigs[i++]);
     } else if (i >= older.sigs.size() || newer.sigs[j].q < older.sigs[i].q) {
-      const PooledSigRef& s = newer.sigs[j++];
-      merged.push_back(PooledSigRef{s.q, pool.Clone(s.sig)});
+      const SigRef& s = newer.sigs[j++];
+      merged.push_back(SigRef{s.q, pool.Clone(s.sig)});
     } else {
       dst.push_back(older.sigs[i].sig);
       src.push_back(newer.sigs[j++].sig);
@@ -356,7 +354,7 @@ void CopyDetector::MergePooledBit(PooledBitCand& older, const PooledBitCand& new
   older.end_time = newer.end_time;
 }
 
-void CopyDetector::MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
+void CopyDetector::MergeSeqBit(BitCand& older, const BitCand& fresh,
                                const sketch::Sketch& wsk) {
   sketch::SignaturePool& pool = *sig_pool_;
   std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
@@ -370,7 +368,7 @@ void CopyDetector::MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
   size_t out = 0;
   size_t j = 0;
   for (size_t i = 0; i < older.sigs.size(); ++i) {
-    const PooledSigRef s = older.sigs[i];
+    const SigRef s = older.sigs[i];
     // caps[q] is 0 once unsubscribed: the test step's expiry, taken before
     // a completion would read a freed sketch.
     if (num_windows > caps[s.q]) {
@@ -413,8 +411,7 @@ void CopyDetector::ReleaseWindowSignatures() {
   scratch_.window_sig_set.clear();
 }
 
-void CopyDetector::MergePooledSketch(PooledSketchCand& older,
-                                     const PooledSketchCand& newer) {
+void CopyDetector::MergeSketch(SketchCand& older, const SketchCand& newer) {
   sketch_pool_->CombineMin(older.sketch, newer.sketch);
   ++stats_.sketch_combines;
   if (config_.use_index) {
@@ -440,18 +437,18 @@ void CopyDetector::TestBitCands(ForEachFn&& for_each) {
   std::vector<sketch::SignaturePool::Handle>& hs = scratch_.handle_buf;
   std::vector<int>& eq = scratch_.eq_buf;
   hs.clear();
-  for_each([&](PooledBitCand& c) {
-    for (const PooledSigRef& s : c.sigs) hs.push_back(s.sig);
+  for_each([&](BitCand& c) {
+    for (const SigRef& s : c.sigs) hs.push_back(s.sig);
   });
   eq.resize(hs.size());
   pool.NumEqualBatch(hs.data(), hs.size(), eq.data());
   const int* caps = portfolio_->window_caps();
   const int* c_eq = eq.data();
-  for_each([&](PooledBitCand& c) {
+  for_each([&](BitCand& c) {
     const size_t n = c.sigs.size();
     size_t out = 0;
     for (size_t i = 0; i < n; ++i) {
-      const PooledSigRef s = c.sigs[i];
+      const SigRef s = c.sigs[i];
       // caps[q] is 0 once unsubscribed, so one packed-array compare covers
       // both the active check and the per-query λL expiry.
       if (c.num_windows > caps[s.q]) {
@@ -469,7 +466,7 @@ void CopyDetector::TestBitCands(ForEachFn&& for_each) {
   });
 }
 
-bool CopyDetector::TestPooledSketchCand(PooledSketchCand& c) {
+bool CopyDetector::TestSketchCand(SketchCand& c) {
   const Portfolio& portfolio = *portfolio_;
   auto test_one = [&](int q_ord) {
     const Portfolio::QueryRec& q = portfolio.query(q_ord);
@@ -489,20 +486,19 @@ bool CopyDetector::TestPooledSketchCand(PooledSketchCand& c) {
   return true;
 }
 
-void CopyDetector::AssignPooledBit(PooledBitCand* dst, const PooledBitCand& src) {
+void CopyDetector::AssignBit(BitCand* dst, const BitCand& src) {
   dst->num_windows = src.num_windows;
   dst->start_frame = src.start_frame;
   dst->end_frame = src.end_frame;
   dst->start_time = src.start_time;
   dst->end_time = src.end_time;
   dst->sigs.clear();
-  for (const PooledSigRef& s : src.sigs) {
-    dst->sigs.push_back(PooledSigRef{s.q, sig_pool_->Clone(s.sig)});
+  for (const SigRef& s : src.sigs) {
+    dst->sigs.push_back(SigRef{s.q, sig_pool_->Clone(s.sig)});
   }
 }
 
-void CopyDetector::AssignPooledSketch(PooledSketchCand* dst,
-                                      const PooledSketchCand& src) {
+void CopyDetector::AssignSketch(SketchCand* dst, const SketchCand& src) {
   dst->num_windows = src.num_windows;
   dst->start_frame = src.start_frame;
   dst->end_frame = src.end_frame;
@@ -513,12 +509,12 @@ void CopyDetector::AssignPooledSketch(PooledSketchCand* dst,
   dst->related.assign(src.related.begin(), src.related.end());
 }
 
-void CopyDetector::RetirePooledBit(PooledBitCand* c) {
-  for (const PooledSigRef& s : c->sigs) sig_pool_->Free(s.sig);
+void CopyDetector::RetireBit(BitCand* c) {
+  for (const SigRef& s : c->sigs) sig_pool_->Free(s.sig);
   c->sigs.clear();
 }
 
-void CopyDetector::RetirePooledSketch(PooledSketchCand* c) {
+void CopyDetector::RetireSketch(SketchCand* c) {
   if (c->sketch != sketch::SketchPool::kInvalidHandle) {
     sketch_pool_->Free(c->sketch);
     c->sketch = sketch::SketchPool::kInvalidHandle;
@@ -548,14 +544,14 @@ void CopyDetector::ProcessWindow(const stream::BasicWindow& window) {
     // the work. Keyed off the deterministic window index, never wall time.
     ++stats_.qos_skipped_windows;
   } else {
-    ProcessWindowPooled(window);
+    CombineAndTest(window);
   }
   RecordWindowStats();
   PublishWindowMetrics();
   if (config_.validate_state) VCD_CHECK_OK(ValidateState());
 }
 
-void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
+void CopyDetector::CombineAndTest(const stream::BasicWindow& window) {
   // Stage spans are per *window*, not per merge — the combine span covers
   // the whole Step; the test span covers the full candidate sweep (in the
   // geometric order that sweep interleaves suffix merges with tests, so
@@ -569,70 +565,70 @@ void CopyDetector::ProcessWindowPooled(const stream::BasicWindow& window) {
   const bool seq = config_.order == CombinationOrder::kSequential;
   const int max_windows = portfolio_->global_max_windows();
   if (bit) {
-    const auto init = [&](PooledBitCand& c) { InitPooledBitCand(&c, window, wsk); };
-    const auto merge = [&](PooledBitCand& older, const PooledBitCand& newer) {
-      MergePooledBit(older, newer);
+    const auto init = [&](BitCand& c) { InitBitCand(&c, window, wsk); };
+    const auto merge = [&](BitCand& older, const BitCand& newer) {
+      MergeGeoBit(older, newer);
     };
-    const auto retire = [&](PooledBitCand& c) { RetirePooledBit(&c); };
+    const auto retire = [&](BitCand& c) { RetireBit(&c); };
     if (seq) {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pseq_bit_.Step(
+        seq_bit_.Step(
             max_windows, init,
-            [&](PooledBitCand& older, const PooledBitCand& fresh) {
+            [&](BitCand& older, const BitCand& fresh) {
               MergeSeqBit(older, fresh, wsk);
             },
             retire);
         ReleaseWindowSignatures();
       }
       VCD_OBS_SPAN(metrics_.test_ns);
-      TestBitCands([&](const auto& fn) { pseq_bit_.ForEach(fn); });
-      pseq_bit_.RemoveIf([](const PooledBitCand& c) { return c.sigs.empty(); },
-                         retire);
+      TestBitCands([&](const auto& fn) { seq_bit_.ForEach(fn); });
+      seq_bit_.RemoveIf([](const BitCand& c) { return c.sigs.empty(); },
+                        retire);
     } else {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pgeo_bit_.Step(max_windows, init, merge, retire);
+        geo_bit_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
-      pgeo_bit_.VisitSuffixesInto(
+      geo_bit_.VisitSuffixesInto(
           max_windows, &scratch_.bit_cum, &scratch_.bit_tmp,
-          [&](PooledBitCand& dst, const PooledBitCand& src) {
-            AssignPooledBit(&dst, src);
+          [&](BitCand& dst, const BitCand& src) {
+            AssignBit(&dst, src);
           },
           merge,
-          [&](PooledBitCand& c) { TestBitCands([&](const auto& fn) { fn(c); }); },
+          [&](BitCand& c) { TestBitCands([&](const auto& fn) { fn(c); }); },
           retire);
       // Blocks are kept even when all their signatures prune away: their
       // window spans still participate in suffix-length accounting.
     }
   } else {
-    const auto init = [&](PooledSketchCand& c) {
-      InitPooledSketchCand(&c, window, wsk);
+    const auto init = [&](SketchCand& c) {
+      InitSketchCand(&c, window, wsk);
     };
-    const auto merge = [&](PooledSketchCand& older, const PooledSketchCand& newer) {
-      MergePooledSketch(older, newer);
+    const auto merge = [&](SketchCand& older, const SketchCand& newer) {
+      MergeSketch(older, newer);
     };
-    const auto retire = [&](PooledSketchCand& c) { RetirePooledSketch(&c); };
+    const auto retire = [&](SketchCand& c) { RetireSketch(&c); };
     if (seq) {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pseq_sketch_.Step(max_windows, init, merge, retire);
+        seq_sketch_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
-      pseq_sketch_.ForEach([&](PooledSketchCand& c) { TestPooledSketchCand(c); });
+      seq_sketch_.ForEach([&](SketchCand& c) { TestSketchCand(c); });
     } else {
       {
         VCD_OBS_SPAN(metrics_.combine_ns);
-        pgeo_sketch_.Step(max_windows, init, merge, retire);
+        geo_sketch_.Step(max_windows, init, merge, retire);
       }
       VCD_OBS_SPAN(metrics_.test_ns);
-      pgeo_sketch_.VisitSuffixesInto(
+      geo_sketch_.VisitSuffixesInto(
           max_windows, &scratch_.sketch_cum, &scratch_.sketch_tmp,
-          [&](PooledSketchCand& dst, const PooledSketchCand& src) {
-            AssignPooledSketch(&dst, src);
+          [&](SketchCand& dst, const SketchCand& src) {
+            AssignSketch(&dst, src);
           },
-          merge, [&](PooledSketchCand& c) { TestPooledSketchCand(c); }, retire);
+          merge, [&](SketchCand& c) { TestSketchCand(c); }, retire);
     }
   }
 }
@@ -658,13 +654,13 @@ void CopyDetector::RecordWindowStats() {
     longest = std::max(longest, c.num_windows);
   };
   if (bit && seq) {
-    pseq_bit_.ForEach(count_bit);
+    seq_bit_.ForEach(count_bit);
   } else if (bit) {
-    pgeo_bit_.ForEach(count_bit);
+    geo_bit_.ForEach(count_bit);
   } else if (seq) {
-    pseq_sketch_.ForEach(count_sketch);
+    seq_sketch_.ForEach(count_sketch);
   } else {
-    pgeo_sketch_.ForEach(count_sketch);
+    geo_sketch_.ForEach(count_sketch);
   }
   stats_.signatures_per_window.Add(static_cast<double>(sig_count));
   stats_.candidates_per_window.Add(static_cast<double>(cand_count));
@@ -749,14 +745,14 @@ Status CopyDetector::ValidateState() const {
   // slots (no leaked and no doubly-owned handles).
   size_t bit_handles = 0;
   size_t sketch_handles = 0;
-  const auto check_pooled_bit = [&](const PooledBitCand& c) -> Status {
+  const auto check_bit = [&](const BitCand& c) -> Status {
     VCD_RETURN_IF_ERROR(check_span(c.num_windows));
     int prev_q = -1;
-    for (const PooledSigRef& s : c.sigs) {
+    for (const SigRef& s : c.sigs) {
       VCD_RETURN_IF_ERROR(check_ordinals(s.q, prev_q));
       prev_q = s.q;
       if (!sig_pool_->IsLive(s.sig)) {
-        return Status::Internal("pooled candidate references a dead signature slot");
+        return Status::Internal("candidate references a dead signature slot");
       }
       VCD_RETURN_IF_ERROR(sig_pool_->ToBitSignature(s.sig).Validate());
       const int less = sig_pool_->NumLess(s.sig);
@@ -770,10 +766,10 @@ Status CopyDetector::ValidateState() const {
     }
     return Status::OK();
   };
-  const auto check_pooled_sketch = [&](const PooledSketchCand& c) -> Status {
+  const auto check_sketch = [&](const SketchCand& c) -> Status {
     VCD_RETURN_IF_ERROR(check_span(c.num_windows));
     if (!sketch_pool_->IsLive(c.sketch)) {
-      return Status::Internal("pooled candidate references a dead sketch slot");
+      return Status::Internal("candidate references a dead sketch slot");
     }
     ++sketch_handles;
     int prev_q = -1;
@@ -790,17 +786,17 @@ Status CopyDetector::ValidateState() const {
     return Status::OK();
   };
 
-  for (size_t i = 0; i < pseq_bit_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_pooled_bit(pseq_bit_.at(i)));
+  for (size_t i = 0; i < seq_bit_.size(); ++i) {
+    VCD_RETURN_IF_ERROR(check_bit(seq_bit_.at(i)));
   }
-  for (const auto& slot : pgeo_bit_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_pooled_bit(*slot));
+  for (const auto& slot : geo_bit_.ladder()) {
+    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_bit(*slot));
   }
-  for (size_t i = 0; i < pseq_sketch_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_pooled_sketch(pseq_sketch_.at(i)));
+  for (size_t i = 0; i < seq_sketch_.size(); ++i) {
+    VCD_RETURN_IF_ERROR(check_sketch(seq_sketch_.at(i)));
   }
-  for (const auto& slot : pgeo_sketch_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_pooled_sketch(*slot));
+  for (const auto& slot : geo_sketch_.ladder()) {
+    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_sketch(*slot));
   }
   if (!scratch_.window_sig_set.empty()) {
     return Status::Internal("completion signatures outlived their window");
@@ -859,16 +855,16 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     const BitVector& bits = sig.bits();
     return std::vector<uint64_t>(bits.words(), bits.words() + bits.num_words());
   };
-  const auto export_pbit = [&](const PooledBitCand& c, int32_t level) {
+  const auto export_bit = [&](const BitCand& c, int32_t level) {
     CkptCandidate out = base_of(c, level);
-    for (const PooledSigRef& s : c.sigs) {
+    for (const SigRef& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
           portfolio_->query(s.q).id,
           words_of(sig_pool_->ToBitSignature(s.sig))});
     }
     st.candidates.push_back(std::move(out));
   };
-  const auto export_psketch = [&](const PooledSketchCand& c, int32_t level) {
+  const auto export_sketch = [&](const SketchCand& c, int32_t level) {
     CkptCandidate out = base_of(c, level);
     out.mins = sketch_pool_->ToSketch(c.sketch).mins;
     for (int q : c.related) {
@@ -886,15 +882,15 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
   if (bit && seq) {
-    for (size_t i = 0; i < pseq_bit_.size(); ++i) export_pbit(pseq_bit_.at(i), -1);
+    for (size_t i = 0; i < seq_bit_.size(); ++i) export_bit(seq_bit_.at(i), -1);
   } else if (bit) {
-    export_ladder(pgeo_bit_, export_pbit);
+    export_ladder(geo_bit_, export_bit);
   } else if (seq) {
-    for (size_t i = 0; i < pseq_sketch_.size(); ++i) {
-      export_psketch(pseq_sketch_.at(i), -1);
+    for (size_t i = 0; i < seq_sketch_.size(); ++i) {
+      export_sketch(seq_sketch_.at(i), -1);
     }
   } else {
-    export_ladder(pgeo_sketch_, export_psketch);
+    export_ladder(geo_sketch_, export_sketch);
   }
   return st;
 }
@@ -954,7 +950,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
               " words, expected " + std::to_string(sig_words));
         }
       }
-      PooledBitCand out;
+      BitCand out;
       out.num_windows = c.num_windows;
       out.start_frame = c.start_frame;
       out.end_frame = c.end_frame;
@@ -967,12 +963,12 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
         for (size_t w = 0; w < sig_words; ++w) {
           sig_pool_->word(h, w) = s.words[w];
         }
-        out.sigs.push_back(PooledSigRef{q, h});
+        out.sigs.push_back(SigRef{q, h});
       }
       if (seq) {
-        pseq_bit_.RestoreBack(std::move(out));
+        seq_bit_.RestoreBack(std::move(out));
       } else {
-        auto& ladder = pgeo_bit_.ladder();
+        auto& ladder = geo_bit_.ladder();
         if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
           ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
         }
@@ -994,7 +990,7 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
         if (q >= 0) related.push_back(q);
       }
       std::sort(related.begin(), related.end());
-      PooledSketchCand out;
+      SketchCand out;
       out.num_windows = c.num_windows;
       out.start_frame = c.start_frame;
       out.end_frame = c.end_frame;
@@ -1006,9 +1002,9 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
       sketch_pool_->Assign(out.sketch, sk);
       out.related = std::move(related);
       if (seq) {
-        pseq_sketch_.RestoreBack(std::move(out));
+        seq_sketch_.RestoreBack(std::move(out));
       } else {
-        auto& ladder = pgeo_sketch_.ladder();
+        auto& ladder = geo_sketch_.ladder();
         if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
           ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
         }

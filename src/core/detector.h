@@ -278,24 +278,24 @@ class CopyDetector {
   const features::FrameFingerprinter& fingerprinter() const { return *fingerprinter_; }
 
  private:
-  /// One (query ordinal, SignaturePool slot) pair of a pooled candidate.
-  struct PooledSigRef {
+  /// One (query ordinal, SignaturePool slot) pair of a Bit candidate.
+  struct SigRef {
     int q = 0;
     sketch::SignaturePool::Handle sig = sketch::SignaturePool::kInvalidHandle;
   };
 
   /// Bit-representation candidate: all signature bits live in sig_pool_;
   /// the candidate holds only slot handles.
-  struct PooledBitCand {
+  struct BitCand {
     int num_windows = 0;
     int64_t start_frame = 0, end_frame = 0;
     double start_time = 0.0, end_time = 0.0;
-    std::vector<PooledSigRef> sigs;  ///< sorted by q
+    std::vector<SigRef> sigs;  ///< sorted by q
   };
 
   /// Sketch-representation candidate: the min-hash array lives in
   /// sketch_pool_.
-  struct PooledSketchCand {
+  struct SketchCand {
     int num_windows = 0;
     int64_t start_frame = 0, end_frame = 0;
     double start_time = 0.0, end_time = 0.0;
@@ -312,7 +312,7 @@ class CopyDetector {
     sketch::Sketch window_sketch;      ///< FromSequenceInto target
     std::vector<uint64_t> related_seen;  ///< index probe dedup bitmap
     std::vector<int> related;            ///< index probe output: R_L ordinals
-    std::vector<PooledSigRef> merge_sigs;    ///< MergePooledBit union buffer
+    std::vector<SigRef> merge_sigs;    ///< MergeGeoBit union buffer
     /// Sequential Bit: per query ordinal, the current window's completion
     /// signature (built on demand by WindowSignature) or kInvalidHandle.
     /// Every entry is kInvalidHandle between windows.
@@ -324,8 +324,8 @@ class CopyDetector {
     std::vector<sketch::SignaturePool::Handle> handle_buf;  ///< TestBitCands
     std::vector<int> eq_buf;                 ///< NumEqualBatch output
     std::vector<int> merge_related;          ///< related-set union buffer
-    PooledBitCand bit_cum, bit_tmp;          ///< geometric suffix shells
-    PooledSketchCand sketch_cum, sketch_tmp;
+    BitCand bit_cum, bit_tmp;          ///< geometric suffix shells
+    SketchCand sketch_cum, sketch_tmp;
   };
 
   CopyDetector(const DetectorConfig& config, features::FrameFingerprinter fp,
@@ -341,29 +341,28 @@ class CopyDetector {
   void ProcessWindow(const stream::BasicWindow& window);
   /// Body of ProcessWindow for a window that is neither degraded nor
   /// QoS-skipped: sketch, combine, test.
-  void ProcessWindowPooled(const stream::BasicWindow& window);
+  void CombineAndTest(const stream::BasicWindow& window);
 
   /// Fills recycled shell \p c with the fresh single-window Bit candidate
   /// (signatures allocated from sig_pool_).
-  void InitPooledBitCand(PooledBitCand* c, const stream::BasicWindow& window,
-                         const sketch::Sketch& wsk);
+  void InitBitCand(BitCand* c, const stream::BasicWindow& window,
+                   const sketch::Sketch& wsk);
   /// Fills recycled shell \p c with the fresh single-window Sketch
   /// candidate (min-hash array allocated from sketch_pool_).
-  void InitPooledSketchCand(PooledSketchCand* c,
-                            const stream::BasicWindow& window,
-                            const sketch::Sketch& wsk);
+  void InitSketchCand(SketchCand* c, const stream::BasicWindow& window,
+                      const sketch::Sketch& wsk);
   /// ORs scratch_.or_src[t] into scratch_.or_dst[t] — the handles of the
   /// entries of \p sigs that absorb a window, queued in list order — and
   /// drops each of those entries whose fused "<" count now exceeds
   /// max_less_. The one place a live signature's bits change after its
   /// build, so the one place Lemma 2 is checked after it.
-  void OrAndPrune(std::vector<PooledSigRef>* sigs);
+  void OrAndPrune(std::vector<SigRef>* sigs);
   /// Merges Geometric block \p newer into \p older (Bit representation):
   /// the union of their signature lists, common queries OR'd and a query
   /// only \p newer tracks cloned in, then OrAndPrune. A query one block
   /// lacks contributes no bits for that block's windows, so the merged
   /// signature covers only part of the span (DESIGN.md §6).
-  void MergePooledBit(PooledBitCand& older, const PooledBitCand& newer);
+  void MergeGeoBit(BitCand& older, const BitCand& newer);
   /// Sequential order's merge of the \p fresh one-window candidate (window
   /// sketch \p wsk) into \p older (DESIGN.md §6): \p older keeps exactly
   /// the queries it tracks, and each entry is OR'd with this window's
@@ -371,7 +370,7 @@ class CopyDetector {
   /// WindowSignature — so it stays the exact OR over every absorbed window.
   /// Entries past their query's λL cap (removed queries included) are
   /// dropped; OrAndPrune runs over the rest.
-  void MergeSeqBit(PooledBitCand& older, const PooledBitCand& fresh,
+  void MergeSeqBit(BitCand& older, const BitCand& fresh,
                    const sketch::Sketch& wsk);
   /// The current window's signature for query ordinal \p q when the fresh
   /// candidate holds none (the index left \p q out of R_L, or Lemma 2
@@ -382,7 +381,7 @@ class CopyDetector {
   void ReleaseWindowSignatures();
   /// Merges \p newer into \p older (Sketch representation) with the
   /// strided CombineMin kernel.
-  void MergePooledSketch(PooledSketchCand& older, const PooledSketchCand& newer);
+  void MergeSketch(SketchCand& older, const SketchCand& newer);
   /// Tests the Bit candidates `for_each(fn)` calls fn on (every Sequential
   /// candidate, or one Geometric suffix) with one NumEqualBatch over all
   /// their signatures: drops entries past their query's λL cap (removed
@@ -393,15 +392,15 @@ class CopyDetector {
   void TestBitCands(ForEachFn&& for_each);
   /// Tests a Sketch candidate (a sketch_pool_ slot) against its related
   /// queries and emits matches.
-  bool TestPooledSketchCand(PooledSketchCand& c);
-  /// Clones pooled candidate \p src into retired shell \p dst (fresh pool
+  bool TestSketchCand(SketchCand& c);
+  /// Clones candidate \p src into retired shell \p dst (fresh pool
   /// slots; used by the geometric suffix sweep).
-  void AssignPooledBit(PooledBitCand* dst, const PooledBitCand& src);
-  void AssignPooledSketch(PooledSketchCand* dst, const PooledSketchCand& src);
-  /// Releases a pooled candidate's arena slots back to the pools and clears
+  void AssignBit(BitCand* dst, const BitCand& src);
+  void AssignSketch(SketchCand* dst, const SketchCand& src);
+  /// Releases a candidate's arena slots back to the pools and clears
   /// its lists (the container parks the shell for reuse afterwards).
-  void RetirePooledBit(PooledBitCand* c);
-  void RetirePooledSketch(PooledSketchCand* c);
+  void RetireBit(BitCand* c);
+  void RetireSketch(SketchCand* c);
 
   /// Emits a match for query ordinal \p q unless muted.
   void EmitMatch(int q, int64_t start_frame, int64_t end_frame, double start_time,
@@ -465,10 +464,10 @@ class CopyDetector {
   bool saw_frame_ = false;
 
   // Combination structures and their arenas.
-  stream::SequentialCandidates<PooledBitCand> pseq_bit_;
-  stream::SequentialCandidates<PooledSketchCand> pseq_sketch_;
-  stream::GeometricCandidates<PooledBitCand> pgeo_bit_;
-  stream::GeometricCandidates<PooledSketchCand> pgeo_sketch_;
+  stream::SequentialCandidates<BitCand> seq_bit_;
+  stream::SequentialCandidates<SketchCand> seq_sketch_;
+  stream::GeometricCandidates<BitCand> geo_bit_;
+  stream::GeometricCandidates<SketchCand> geo_sketch_;
   std::optional<sketch::SignaturePool> sig_pool_;
   std::optional<sketch::SketchPool> sketch_pool_;
   WindowScratch scratch_;
