@@ -148,6 +148,10 @@ Result<SnapshotState> Checkpointer::LoadLatest() {
     if (!snap.ok()) return snap.status();
     return DecodeState(*snap);
   };
+  // A format-version refusal is no corruption: such an entry is skipped
+  // all the same, but uncounted, and it is what the caller hears when no
+  // entry loads.
+  Status refused;
   for (size_t i = entries_.size(); i-- > 0;) {
     const ManifestEntry& entry = entries_[i];
     const std::string path = dir_ + "/" + entry.filename;
@@ -164,10 +168,13 @@ Result<SnapshotState> Checkpointer::LoadLatest() {
     }
     VCD_WARN(path << ": unreadable snapshot (" << state.status().ToString()
                   << "); falling back to previous manifest entry");
-    if (metrics_.restore_corruption_total != nullptr) {
+    if (state.status().code() == StatusCode::kFailedPrecondition) {
+      if (refused.ok()) refused = state.status();
+    } else if (metrics_.restore_corruption_total != nullptr) {
       metrics_.restore_corruption_total->Inc();
     }
   }
+  if (!refused.ok()) return refused;
   return Status::Corruption("every snapshot named by " + dir_ +
                             "/MANIFEST is unreadable");
 }

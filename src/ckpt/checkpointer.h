@@ -46,9 +46,11 @@ class Checkpointer {
 
   /// Loads the newest complete snapshot named by the MANIFEST. A torn,
   /// truncated or CRC-corrupt entry is skipped with a VCD_WARN (counted in
-  /// `vcd_ckpt_restore_corruption_total`) and the previous entry is tried.
-  /// NotFound when the manifest names nothing; Corruption when every named
-  /// snapshot is unreadable.
+  /// `vcd_ckpt_restore_corruption_total`) and the previous entry is tried;
+  /// so is one of another format version, uncounted. NotFound when the
+  /// manifest names nothing. When no named snapshot loads: the newest
+  /// format-version FailedPrecondition if any entry was refused for its
+  /// version, else Corruption.
   Result<SnapshotState> LoadLatest();
 
  private:

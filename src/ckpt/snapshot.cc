@@ -50,12 +50,12 @@ Result<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size) {
   }
   const uint32_t version = r.U32();
   if (!r.ok()) return Status::Corruption("snapshot: truncated header");
-  if (version == 0 || version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::FailedPrecondition("snapshot: format version " +
                                       std::to_string(version) +
-                                      " not supported (max " +
+                                      " not supported (this build reads " +
                                       std::to_string(kSnapshotFormatVersion) +
-                                      ")");
+                                      " only)");
   }
   Snapshot snap;
   snap.epoch = r.U64();

@@ -11,7 +11,7 @@
 /// Layout, all integers little-endian:
 ///
 ///   magic          4 bytes  'V' 'C' 'K' '1'
-///   format_version u32      currently 1
+///   format_version u32      2; every other version is refused
 ///   epoch          u64      monotonically increasing checkpoint epoch
 ///   section_count  u32
 ///   per section:
@@ -32,7 +32,9 @@
 namespace vcd::ckpt {
 
 inline constexpr uint8_t kSnapshotMagic[4] = {'V', 'C', 'K', '1'};
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+/// The only format version this build reads or writes (docs/FORMATS.md
+/// says what version 2 changed).
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Section ids. Values are part of the on-disk format; never renumber.
 inline constexpr uint32_t kSectionMeta = 1;     ///< detector parameters
@@ -73,7 +75,8 @@ std::vector<uint8_t> EncodeSnapshot(uint64_t epoch,
 /// Parses and verifies a snapshot image. Typed failures:
 /// - Corruption: bad magic, truncated header/section, CRC mismatch,
 ///   trailing bytes;
-/// - FailedPrecondition: format_version newer than this binary understands.
+/// - FailedPrecondition: a format_version other than
+///   kSnapshotFormatVersion, older or newer (the message names it).
 Result<Snapshot> DecodeSnapshot(const uint8_t* data, size_t size);
 
 }  // namespace vcd::ckpt

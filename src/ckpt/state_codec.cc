@@ -97,9 +97,6 @@ void EncodeDetector(const core::DetectorCkptState& d, ByteWriter* w) {
   EncodeRaw(s.candidates_per_window, w);
   EncodeRaw(s.pool_slots_per_window, w);
 
-  w->U32(static_cast<uint32_t>(d.matches.size()));
-  for (const core::Match& m : d.matches) EncodeMatch(m, w);
-
   w->U32(static_cast<uint32_t>(d.candidates.size()));
   for (const core::CkptCandidate& c : d.candidates) {
     w->I32(c.ladder_level);
@@ -164,11 +161,6 @@ bool DecodeDetector(ByteReader* r, core::DetectorCkptState* d) {
   s.candidates_per_window = DecodeRaw(r);
   s.pool_slots_per_window = DecodeRaw(r);
 
-  const uint32_t num_matches = r->U32();
-  if (!CountFits(*r, num_matches, 44)) return false;
-  d->matches.resize(num_matches);
-  for (auto& m : d->matches) DecodeMatch(r, &m);
-
   const uint32_t num_cands = r->U32();
   if (!CountFits(*r, num_cands, 52)) return false;
   d->candidates.resize(num_cands);
@@ -204,14 +196,11 @@ bool DecodeDetector(ByteReader* r, core::DetectorCkptState* d) {
 void EncodeStream(const core::StreamCkpt& s, ByteWriter* w) {
   w->I32(s.stream_id);
   w->Str(s.name);
-  w->U64(s.matches_consumed);
   w->I32(s.health);
   w->I32(s.consecutive_faults);
   w->I32(s.consecutive_clean);
   w->I64(s.quarantine_remaining);
   w->I64(s.backoff_frames);
-  w->F64(s.max_timestamp);
-  w->U8(s.saw_timestamp ? 1 : 0);
   w->I32(s.priority);
   EncodeDetector(s.detector, w);
 }
@@ -219,14 +208,11 @@ void EncodeStream(const core::StreamCkpt& s, ByteWriter* w) {
 bool DecodeStream(ByteReader* r, core::StreamCkpt* s) {
   s->stream_id = r->I32();
   if (!r->Str(&s->name)) return false;
-  s->matches_consumed = r->U64();
   s->health = r->I32();
   s->consecutive_faults = r->I32();
   s->consecutive_clean = r->I32();
   s->quarantine_remaining = r->I64();
   s->backoff_frames = r->I64();
-  s->max_timestamp = r->F64();
-  s->saw_timestamp = r->U8() != 0;
   s->priority = r->I32();
   return DecodeDetector(r, &s->detector);
 }
@@ -245,6 +231,8 @@ std::vector<Section> EncodeState(const SnapshotState& state) {
     w.F64(state.lambda);
     w.I32(state.representation);
     w.I32(state.order);
+    w.U8(state.use_index ? 1 : 0);
+    w.U8(state.enable_pruning ? 1 : 0);
     sections.push_back(Section{kSectionMeta, w.Take()});
   }
 
@@ -318,6 +306,8 @@ Result<SnapshotState> DecodeState(const Snapshot& snap) {
     state.lambda = r.F64();
     state.representation = r.I32();
     state.order = r.I32();
+    state.use_index = r.U8() != 0;
+    state.enable_pruning = r.U8() != 0;
     VCD_RETURN_IF_ERROR(r.Finish("META section"));
   }
 
@@ -396,8 +386,7 @@ Result<SnapshotState> DecodeState(const Snapshot& snap) {
     VCD_RETURN_IF_ERROR(r.Finish("DRIVER section"));
   }
 
-  // QOS is optional: absent when the governor is disabled, and from
-  // snapshots written before the section existed.
+  // QOS is optional: absent when the governor is disabled.
   if (const Section* qos_sec = snap.Find(kSectionQos)) {
     ByteReader r(qos_sec->payload.data(), qos_sec->payload.size());
     const uint32_t count = r.U32();
@@ -425,6 +414,8 @@ void StampMeta(const core::DetectorConfig& config, SnapshotState* state) {
   state->lambda = config.lambda;
   state->representation = static_cast<int>(config.representation);
   state->order = static_cast<int>(config.order);
+  state->use_index = config.use_index;
+  state->enable_pruning = config.enable_pruning;
 }
 
 Status CheckMeta(const SnapshotState& state, const core::DetectorConfig& config) {
@@ -454,6 +445,12 @@ Status CheckMeta(const SnapshotState& state, const core::DetectorConfig& config)
   if (state.order != static_cast<int>(config.order)) {
     return Status::FailedPrecondition(
         "snapshot combination order does not match config");
+  }
+  if (state.use_index != config.use_index) {
+    return Status::FailedPrecondition("snapshot index setting does not match config");
+  }
+  if (state.enable_pruning != config.enable_pruning) {
+    return Status::FailedPrecondition("snapshot pruning setting does not match config");
   }
   return Status::OK();
 }

@@ -14,18 +14,17 @@
 /// Encoding between the in-memory checkpoint state (core::StreamCkpt et al.)
 /// and the snapshot container's section payloads (docs/FORMATS.md).
 ///
-/// The codec knows no engine: parallel::StreamExecutor checkpoints through
-/// SnapshotState at any thread count, and a snapshot restores at any other,
-/// provided the detector parameters match (CheckMeta rejects everything
-/// else with a typed error). Snapshots written by the serial engine of
-/// earlier versions carry seq = 0 on every match and next_seq = 1; they
-/// restore onto the executor unchanged.
+/// SnapshotState is the executor's one checkpoint type:
+/// parallel::StreamExecutor::Checkpoint() returns it with META stamped, at
+/// any thread count, and RestoreCkpt() takes it at any other, provided the
+/// detector parameters match (CheckMeta rejects everything else with a
+/// typed error).
 
 namespace vcd::ckpt {
 
-/// A stream match tagged with its global submission sequence number
-/// (parallel::SeqMatch's shape, mirrored here so vcd_ckpt does not depend
-/// on vcd_parallel).
+/// A stream match tagged with the global submission sequence number of the
+/// frame (or close command) that produced it — the merge key that restores
+/// arrival order across shards (parallel::SeqMatch names this type).
 struct SnapshotMatch {
   uint64_t seq = 0;
   core::StreamMatch match;
@@ -55,6 +54,8 @@ struct SnapshotState {
   double lambda = 0.0;
   int representation = 0;  ///< core::Representation as int
   int order = 0;           ///< core::CombinationOrder as int
+  bool use_index = false;
+  bool enable_pruning = false;
 
   /// QUERYDB — the serialized VCDQ image of the subscribed portfolio, kept
   /// verbatim so restore re-imports byte-identical query sketches.
@@ -64,19 +65,21 @@ struct SnapshotState {
   int next_stream_id = 1;
   uint64_t next_seq = 1;
 
-  /// STREAMS — every open stream: health machine + full detector state.
+  /// STREAMS — every open stream: health machine, priority and detector
+  /// state, ascending stream_id.
   std::vector<core::StreamCkpt> streams;
 
-  /// MATCHES — the merged match log at the barrier, ascending seq.
+  /// MATCHES — every match reported before the barrier, merged and pending,
+  /// stable-sorted by seq: what matches() would return after a Drain() at
+  /// the barrier. The only place a snapshot records a match.
   std::vector<SnapshotMatch> matches;
 
   /// DRIVER — vcdctl ingest positions (absent for library users).
   std::vector<DriverFileState> driver;
 
   /// QOS — the overload governor's per-shard hysteresis machines (absent
-  /// when the governor is disabled or the snapshot predates the section),
-  /// so a restore mid-Degraded resumes degraded instead of forgetting the
-  /// overload and thrashing back into it.
+  /// when the governor is disabled), so a restore mid-Degraded resumes
+  /// degraded instead of forgetting the overload and thrashing back into it.
   std::vector<qos::GovernorShardCkpt> qos;
 };
 

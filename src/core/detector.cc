@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "obs/span.h"
 #include "util/logging.h"
@@ -212,6 +213,13 @@ void CopyDetector::ResetStream() {
   max_timestamp_ = 0.0;
   saw_frame_ = false;
   std::fill(suppress_until_.begin(), suppress_until_.end(), -1.0);
+}
+
+std::vector<Match> CopyDetector::TakeMatches() {
+  // Matches are emitted only inside ProcessWindow, which publishes them
+  // before it returns, so the whole log has been counted.
+  published_.matches = 0;
+  return std::exchange(matches_, {});
 }
 
 void CopyDetector::EmitMatch(int q, int64_t start_frame, int64_t end_frame,
@@ -839,7 +847,6 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
         DetectorCkptState::QueryState{portfolio_->query(q).id, suppress_until});
   }
   st.stats = stats_;
-  st.matches = matches_;
 
   const auto base_of = [](const auto& c, int32_t level) {
     CkptCandidate out;
@@ -914,7 +921,6 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   max_timestamp_ = st.max_timestamp;
   assembler_->RestoreCkpt(st.assembler);
   stats_ = st.stats;
-  matches_ = st.matches;
 
   const bool bit = config_.representation == Representation::kBit;
   const bool seq = config_.order == CombinationOrder::kSequential;
@@ -1025,7 +1031,6 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   published_.sketch_combines = stats_.sketch_combines;
   published_.sketch_compares = stats_.sketch_compares;
   published_.candidates_pruned = stats_.candidates_pruned;
-  published_.matches = static_cast<int64_t>(matches_.size());
   published_.cand_count = restored;
   last_cand_count_ = restored;
   return ValidateState();

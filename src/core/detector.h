@@ -82,8 +82,9 @@ struct CkptCandidate {
 /// Everything a fresh detector (same config, its portfolio holding the same
 /// queries in export order) needs to continue producing byte-identical
 /// matches and stats: the clock-skew guard, the partially accumulated basic window,
-/// per-query report-cooldown deadlines, all counters/RunningStats, the
-/// match log, and every live candidate.
+/// per-query report-cooldown deadlines, all counters/RunningStats and every
+/// live candidate. Reported matches are output, not state: a restored
+/// detector reports only the matches after the cut.
 struct DetectorCkptState {
   bool saw_frame = false;
   double max_timestamp = 0.0;
@@ -94,7 +95,6 @@ struct DetectorCkptState {
   };
   std::vector<QueryState> queries;
   DetectorStats stats;
-  std::vector<Match> matches;
   /// Sequential order: oldest-first. Geometric order: ascending ladder_level.
   std::vector<CkptCandidate> candidates;
 };
@@ -105,7 +105,6 @@ struct DetectorCkptState {
 struct StreamCkpt {
   int stream_id = 0;
   std::string name;
-  uint64_t matches_consumed = 0;
   /// Health machine (parallel/shard.h): state enum as int, fault/clean
   /// streaks, and the frame-count backoff "deadlines" — durations relative
   /// to the snapshot's persisted epoch, so a restored stream resumes its
@@ -115,11 +114,8 @@ struct StreamCkpt {
   int consecutive_clean = 0;
   int64_t quarantine_remaining = 0;
   int64_t backoff_frames = 0;
-  double max_timestamp = 0.0;
-  bool saw_timestamp = false;
-  /// QoS priority class (qos::Priority as int) assigned at registration.
-  /// Defaults to kNormal (1), which is also what snapshots written before
-  /// the field existed restore to.
+  /// QoS priority class (qos::Priority as int), copied from the stream's
+  /// shed-gate entry. Defaults to kNormal (1).
   int priority = 1;
   DetectorCkptState detector;
 };
@@ -219,8 +215,13 @@ class CopyDetector {
   /// Clears stream state and matches but keeps the subscribed queries.
   void ResetStream();
 
-  /// All matches reported so far.
+  /// The matches reported since creation, restore, ResetStream or the last
+  /// TakeMatches.
   const std::vector<Match>& matches() const { return matches_; }
+
+  /// Moves the reported matches out: matches() is empty afterwards, and
+  /// `vcd_detector_matches_total` keeps counting every match reported.
+  std::vector<Match> TakeMatches();
 
   /// Runtime counters.
   const DetectorStats& stats() const { return stats_; }
@@ -269,8 +270,10 @@ class CopyDetector {
   /// (a sharing portfolio may hold them for other streams already), and no
   /// stream frame has been processed. The portfolio is only read. Candidate
   /// arenas and free-lists are rebuilt by re-allocating each restored
-  /// signature/sketch. Ends with a full ValidateState() sweep; rejects
-  /// unknown query ids and malformed payloads with a typed Status.
+  /// signature/sketch. The snapshot carries no matches, so matches() then
+  /// holds only those reported after the cut. Ends with a full
+  /// ValidateState() sweep; rejects unknown query ids and malformed
+  /// payloads with a typed Status.
   Status RestoreCkptState(const DetectorCkptState& state);
 
   /// The fingerprinter (shared with dataset tooling so queries and stream

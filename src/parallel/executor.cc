@@ -177,6 +177,16 @@ qos::QosState StreamExecutor::QosGlobalState() const {
   return governor_->global_state();
 }
 
+template <typename Fn>
+auto StreamExecutor::Ask(Shard* shard, Fn fn) -> std::future<decltype(fn(shard))> {
+  auto promise = std::make_shared<std::promise<decltype(fn(shard))>>();
+  auto future = promise->get_future();
+  shard->SubmitCommand([promise, fn = std::move(fn)](Shard* s) mutable {
+    promise->set_value(fn(s));
+  });
+  return future;
+}
+
 template <typename T>
 bool StreamExecutor::WaitOrFailover(std::future<T>& f, Shard* shard) {
   for (;;) {
@@ -291,7 +301,6 @@ Result<int> StreamExecutor::OpenStream(std::string name,
   num_open_streams_.fetch_add(1, std::memory_order_relaxed);
   VCD_OBS_SET(metrics_.streams_open,
               num_open_streams_.load(std::memory_order_relaxed));
-  priorities_[id] = priority;
   shard_for(id)->RegisterStreamQos(id, priority);
   // The shard builds the detector on its own portfolio.
   shard_for(id)->SubmitCommand([id, name = std::move(name)](Shard* s) mutable {
@@ -303,24 +312,17 @@ Result<int> StreamExecutor::OpenStream(std::string name,
 Status StreamExecutor::CloseStream(int stream_id) {
   MutexLock lock(control_mu_);
   ReapOrphansLocked();
-  if (stream_id <= 0 ||
-      stream_id >= next_stream_id_.load(std::memory_order_acquire)) {
-    return Status::NotFound("no such stream");
-  }
+  if (!issued(stream_id)) return Status::NotFound("no such stream");
   const uint64_t close_seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  using Reply = std::pair<Status, std::vector<SeqMatch>>;
-  auto promise = std::make_shared<std::promise<Reply>>();
-  auto future = promise->get_future();
   Shard* shard = shard_for(stream_id);
   // The stream stops being a shed-gate citizen the moment the close is
   // issued — even if the close reply is later orphaned on failover, no
   // frame submitted after this point is legitimate.
-  priorities_.erase(stream_id);
   shard->UnregisterStreamQos(stream_id);
-  shard->SubmitCommand([stream_id, close_seq, promise](Shard* s) {
-    std::vector<SeqMatch> batch;
-    Status st = s->FinishStream(stream_id, close_seq, &batch);
-    promise->set_value(Reply{std::move(st), std::move(batch)});
+  auto future = Ask(shard, [stream_id, close_seq](Shard* s) {
+    MatchReply reply;
+    reply.first = s->FinishStream(stream_id, close_seq, &reply.second);
+    return reply;
   });
   if (!WaitOrFailover(future, shard)) {
     // The close command is still queued and will run when the shard drains
@@ -331,7 +333,7 @@ Status StreamExecutor::CloseStream(int stream_id) {
     return Status::Unavailable("stream " + std::to_string(stream_id) +
                                ": shard failed over; close pending");
   }
-  Reply reply = future.get();
+  MatchReply reply = future.get();
   if (!reply.first.ok()) return reply.first;
   num_open_streams_.fetch_sub(1, std::memory_order_relaxed);
   VCD_OBS_SET(metrics_.streams_open,
@@ -345,10 +347,7 @@ int StreamExecutor::num_open_streams() const {
 }
 
 Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame) {
-  if (stream_id <= 0 ||
-      stream_id >= next_stream_id_.load(std::memory_order_acquire)) {
-    return Status::NotFound("no such stream");
-  }
+  if (!issued(stream_id)) return Status::NotFound("no such stream");
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   metrics_.frames_submitted_total->Inc();
   qos::Priority shed_priority = qos::Priority::kNormal;
@@ -376,17 +375,14 @@ Status StreamExecutor::ProcessKeyFrame(int stream_id, vcd::video::DcFrame frame)
 Status StreamExecutor::Drain() {
   MutexLock lock(control_mu_);
   ReapOrphansLocked();
-  using Reply = std::pair<Status, std::vector<SeqMatch>>;
-  std::vector<std::future<Reply>> futures;
+  std::vector<std::future<MatchReply>> futures;
   futures.reserve(shards_.size());
   for (auto& shard : shards_) {
-    auto promise = std::make_shared<std::promise<Reply>>();
-    futures.push_back(promise->get_future());
-    shard->SubmitCommand([promise](Shard* s) {
-      std::vector<SeqMatch> batch;
-      Status st = s->TakeMatches(&batch);
-      promise->set_value(Reply{std::move(st), std::move(batch)});
-    });
+    futures.push_back(Ask(shard.get(), [](Shard* s) {
+      MatchReply reply;
+      reply.first = s->TakeMatches(&reply.second);
+      return reply;
+    }));
   }
   Status first;
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -398,7 +394,7 @@ Status StreamExecutor::Drain() {
       orphans_.push_back(Orphan{std::move(futures[i]), /*is_close=*/false});
       continue;
     }
-    Reply reply = futures[i].get();
+    MatchReply reply = futures[i].get();
     if (first.ok()) first = reply.first;
     FoldLocked(std::move(reply.second));
   }
@@ -424,43 +420,29 @@ std::vector<core::StreamMatch> StreamExecutor::matches() const {
   return out;
 }
 
-Result<core::DetectorStats> StreamExecutor::StreamStats(int stream_id) {
+template <typename T>
+Result<T> StreamExecutor::AskStream(int stream_id, Result<T> (Shard::*query)(int) const) {
   MutexLock lock(control_mu_);
-  if (stream_id <= 0 ||
-      stream_id >= next_stream_id_.load(std::memory_order_acquire)) {
-    return Status::NotFound("no such stream");
-  }
-  auto promise = std::make_shared<std::promise<Result<core::DetectorStats>>>();
-  auto future = promise->get_future();
+  if (!issued(stream_id)) return Status::NotFound("no such stream");
   Shard* shard = shard_for(stream_id);
-  shard->SubmitCommand(
-      [stream_id, promise](Shard* s) { promise->set_value(s->StatsOf(stream_id)); });
+  const auto ask = [stream_id, query](Shard* s) { return (s->*query)(stream_id); };
+  auto future = Ask(shard, ask);
   if (!WaitOrFailover(future, shard)) {
     return Status::Unavailable("stream " + std::to_string(stream_id) +
                                ": shard failed over");
   }
   return future.get();
+}
+
+Result<core::DetectorStats> StreamExecutor::StreamStats(int stream_id) {
+  return AskStream(stream_id, &Shard::StatsOf);
 }
 
 Result<StreamHealth> StreamExecutor::HealthOf(int stream_id) {
-  MutexLock lock(control_mu_);
-  if (stream_id <= 0 ||
-      stream_id >= next_stream_id_.load(std::memory_order_acquire)) {
-    return Status::NotFound("no such stream");
-  }
-  auto promise = std::make_shared<std::promise<Result<StreamHealth>>>();
-  auto future = promise->get_future();
-  Shard* shard = shard_for(stream_id);
-  shard->SubmitCommand(
-      [stream_id, promise](Shard* s) { promise->set_value(s->HealthOf(stream_id)); });
-  if (!WaitOrFailover(future, shard)) {
-    return Status::Unavailable("stream " + std::to_string(stream_id) +
-                               ": shard failed over");
-  }
-  return future.get();
+  return AskStream(stream_id, &Shard::HealthOf);
 }
 
-Result<ExecutorCkpt> StreamExecutor::Checkpoint() {
+Result<ckpt::SnapshotState> StreamExecutor::Checkpoint() {
   MutexLock lock(control_mu_);
   ReapOrphansLocked();
   if (!orphans_.empty()) {
@@ -476,70 +458,64 @@ Result<ExecutorCkpt> StreamExecutor::Checkpoint() {
   // Barrier: one export command per shard. Commands ride the FIFO behind
   // every frame submitted before this call, so by the time a shard answers,
   // its streams are at a window boundary of everything pre-barrier.
-  using Reply = std::pair<std::vector<core::StreamCkpt>, std::vector<SeqMatch>>;
-  std::vector<std::future<Reply>> futures;
+  using Export = std::pair<std::vector<core::StreamCkpt>, std::vector<SeqMatch>>;
+  std::vector<std::future<Export>> futures;
   futures.reserve(shards_.size());
   for (auto& shard : shards_) {
-    auto promise = std::make_shared<std::promise<Reply>>();
-    futures.push_back(promise->get_future());
-    shard->SubmitCommand([promise](Shard* s) {
-      Reply reply;
+    futures.push_back(Ask(shard.get(), [](Shard* s) {
+      Export reply;
       s->ExportCkpt(&reply.first, &reply.second);
-      promise->set_value(std::move(reply));
-    });
+      return reply;
+    }));
   }
-  ExecutorCkpt ckpt;
-  ckpt.next_stream_id = next_stream_id_.load(std::memory_order_acquire);
-  ckpt.next_seq = next_seq_.load(std::memory_order_acquire);
-  ckpt.matches = merged_;  // copy; the live merged log is not perturbed
+  ckpt::SnapshotState state;
+  ckpt::StampMeta(config_, &state);
+  state.next_stream_id = next_stream_id_.load(std::memory_order_acquire);
+  state.next_seq = next_seq_.load(std::memory_order_acquire);
+  state.matches = merged_;  // copy; the live merged log is not perturbed
   for (size_t i = 0; i < futures.size(); ++i) {
     if (!WaitOrFailover(futures[i], shards_[i].get())) {
       return Status::Unavailable("checkpoint abandoned: shard " +
                                  std::to_string(i) +
                                  " failed over mid-barrier");
     }
-    Reply reply = futures[i].get();
+    Export reply = futures[i].get();
     for (core::StreamCkpt& s : reply.first) {
-      ckpt.streams.push_back(std::move(s));
+      state.streams.push_back(std::move(s));
     }
-    ckpt.matches.insert(ckpt.matches.end(),
-                        std::make_move_iterator(reply.second.begin()),
-                        std::make_move_iterator(reply.second.end()));
+    state.matches.insert(state.matches.end(),
+                         std::make_move_iterator(reply.second.begin()),
+                         std::make_move_iterator(reply.second.end()));
   }
   std::stable_sort(
-      ckpt.streams.begin(), ckpt.streams.end(),
+      state.streams.begin(), state.streams.end(),
       [](const core::StreamCkpt& a, const core::StreamCkpt& b) {
         return a.stream_id < b.stream_id;
       });
-  std::stable_sort(ckpt.matches.begin(), ckpt.matches.end(),
+  std::stable_sort(state.matches.begin(), state.matches.end(),
                    [](const SeqMatch& a, const SeqMatch& b) { return a.seq < b.seq; });
-  // Stamp each stream's QoS class from the control-plane priority map —
-  // the shards don't know priorities (the shed gates are keyed copies).
-  for (core::StreamCkpt& s : ckpt.streams) {
-    auto it = priorities_.find(s.stream_id);
-    if (it != priorities_.end()) s.priority = static_cast<int>(it->second);
-  }
   {
     MutexLock qlock(qos_mu_);
-    if (governor_ != nullptr) ckpt.qos = governor_->ExportCkpt();
+    if (governor_ != nullptr) state.qos = governor_->ExportCkpt();
   }
-  return ckpt;
+  return state;
 }
 
-Status StreamExecutor::RestoreCkpt(const ExecutorCkpt& ckpt) {
+Status StreamExecutor::RestoreCkpt(const ckpt::SnapshotState& state) {
   MutexLock lock(control_mu_);
   if (num_open_streams_.load(std::memory_order_relaxed) != 0 ||
       !merged_.empty() || !orphans_.empty()) {
     return Status::FailedPrecondition(
         "RestoreCkpt requires an executor with no open streams or matches");
   }
-  if (ckpt.next_stream_id < 1 || ckpt.next_seq < 1) {
+  VCD_RETURN_IF_ERROR(ckpt::CheckMeta(state, config_));
+  if (state.next_stream_id < 1 || state.next_seq < 1) {
     return Status::Corruption("snapshot executor counters out of range");
   }
   std::set<int> seen_ids;
   std::vector<std::vector<core::StreamCkpt>> per_shard(shards_.size());
-  for (const core::StreamCkpt& s : ckpt.streams) {
-    if (s.stream_id <= 0 || s.stream_id >= ckpt.next_stream_id) {
+  for (const core::StreamCkpt& s : state.streams) {
+    if (s.stream_id <= 0 || s.stream_id >= state.next_stream_id) {
       return Status::Corruption("snapshot stream id " +
                                 std::to_string(s.stream_id) +
                                 " outside [1, next_stream_id)");
@@ -563,12 +539,10 @@ Status StreamExecutor::RestoreCkpt(const ExecutorCkpt& ckpt) {
   std::vector<std::future<Status>> futures;
   futures.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    auto promise = std::make_shared<std::promise<Status>>();
-    futures.push_back(promise->get_future());
-    shards_[i]->SubmitCommand(
-        [promise, slots = std::move(per_shard[i])](Shard* shard) mutable {
-          promise->set_value(shard->StageRestore(std::move(slots)));
-        });
+    auto stage = [slots = std::move(per_shard[i])](Shard* s) mutable {
+      return s->StageRestore(std::move(slots));
+    };
+    futures.push_back(Ask(shards_[i].get(), std::move(stage)));
   }
   Status staged;
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -583,29 +557,28 @@ Status StreamExecutor::RestoreCkpt(const ExecutorCkpt& ckpt) {
     shard->SubmitCommand([install](Shard* s) { s->FinishRestore(install); });
   }
   VCD_RETURN_IF_ERROR(staged);
-  for (const core::StreamCkpt& s : ckpt.streams) {
-    const auto priority = static_cast<qos::Priority>(s.priority);
-    priorities_[s.stream_id] = priority;
-    shard_for(s.stream_id)->RegisterStreamQos(s.stream_id, priority);
+  for (const core::StreamCkpt& s : state.streams) {
+    shard_for(s.stream_id)->RegisterStreamQos(
+        s.stream_id, static_cast<qos::Priority>(s.priority));
   }
-  const int restored = static_cast<int>(ckpt.streams.size());
-  next_stream_id_.store(ckpt.next_stream_id, std::memory_order_release);
-  next_seq_.store(ckpt.next_seq, std::memory_order_release);
+  const int restored = static_cast<int>(state.streams.size());
+  next_stream_id_.store(state.next_stream_id, std::memory_order_release);
+  next_seq_.store(state.next_seq, std::memory_order_release);
   num_open_streams_.store(restored, std::memory_order_relaxed);
   VCD_OBS_SET(metrics_.streams_open, restored);
-  merged_ = ckpt.matches;
+  merged_ = state.matches;
   {
     // Resume the governor exactly where the snapshot left it (a restore
     // mid-Degraded stays degraded), and re-apply the consequences: shed
     // gates arm and degrade knobs fan out to the restored detectors.
     MutexLock qlock(qos_mu_);
-    if (governor_ != nullptr && !ckpt.qos.empty()) {
-      governor_->RestoreCkpt(ckpt.qos);
+    if (governor_ != nullptr && !state.qos.empty()) {
+      governor_->RestoreCkpt(state.qos);
       for (size_t i = 0; i < shards_.size(); ++i) {
-        const qos::QosState state = governor_->shard_state(static_cast<int>(i));
-        qos_metrics_.shard_state[i]->Set(static_cast<int64_t>(state));
-        shards_[i]->SetQosState(state);
-        if (state >= qos::QosState::kDegraded) {
+        const qos::QosState qstate = governor_->shard_state(static_cast<int>(i));
+        qos_metrics_.shard_state[i]->Set(static_cast<int64_t>(qstate));
+        shards_[i]->SetQosState(qstate);
+        if (qstate >= qos::QosState::kDegraded) {
           const qos::DegradeKnobs knobs = pconfig_.qos.degrade;
           shards_[i]->SubmitCommand(
               [knobs](Shard* s) { s->ApplyDegrade(knobs); });
@@ -623,11 +596,9 @@ ExecutorStats StreamExecutor::Stats() {
   std::vector<std::future<Reply>> futures;
   futures.reserve(shards_.size());
   for (auto& shard : shards_) {
-    auto promise = std::make_shared<std::promise<Reply>>();
-    futures.push_back(promise->get_future());
-    shard->SubmitCommand([promise](Shard* s) {
-      promise->set_value(Reply{s->Snapshot(), s->AggregateDetectorStats()});
-    });
+    futures.push_back(Ask(shard.get(), [](Shard* s) {
+      return Reply{s->Snapshot(), s->AggregateDetectorStats()};
+    }));
   }
   ExecutorStats stats;
   stats.frames_submitted = metrics_.frames_submitted_total->Value();

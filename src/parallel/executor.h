@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <future>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "core/detector.h"
 #include "core/query_store.h"
@@ -44,9 +44,10 @@
 /// that opens or restores the stream.
 ///
 /// Matches are collected mutex-free on the frame path: each shard's worker
-/// appends to a thread-local log tagged with the frame's global submission
-/// sequence number; `Drain()`/`CloseStream()` hand logs over via one-shot
-/// promises and merge them back into arrival order by that tag.
+/// takes a frame's matches out of the stream's detector into a
+/// worker-owned log, tagged with the frame's global submission sequence
+/// number; `Drain()`/`CloseStream()` hand logs over via one-shot futures
+/// (`Ask`) and merge them back into arrival order by that tag.
 ///
 /// ### Failure handling (DESIGN.md §12)
 /// Streams carry a per-stream health state machine on their shard (see
@@ -95,26 +96,6 @@ struct ExecutorStats {
   std::vector<ShardStats> shards;
   /// Aggregated detector stats per shard (index-aligned with `shards`).
   std::vector<core::DetectorStats> shard_detector_stats;
-};
-
-/// \brief Checkpointed state of a whole executor: every shard's stream
-/// slots, the merged + pending match logs, and the id/sequence counters.
-///
-/// Captured by StreamExecutor::Checkpoint() at a quiesced barrier, so the
-/// snapshot is epoch-consistent across shards: every frame submitted before
-/// the barrier is reflected, none submitted after it is.
-struct ExecutorCkpt {
-  int next_stream_id = 1;
-  uint64_t next_seq = 1;
-  std::vector<core::StreamCkpt> streams;  ///< all shards, ascending stream_id
-  /// Merged log plus every shard's not-yet-drained pending matches, stable-
-  /// sorted by submission seq — exactly what matches() would return after a
-  /// Drain() at the barrier, without actually draining the shard logs.
-  std::vector<SeqMatch> matches;
-  /// Per-shard governor machines (empty when the governor is disabled), so
-  /// a restore mid-Degraded resumes degraded instead of forgetting the
-  /// overload and thrashing back into it.
-  std::vector<qos::GovernorShardCkpt> qos;
 };
 
 /// \brief Worker-pool stream executor: one portfolio, many streams, N threads.
@@ -212,23 +193,29 @@ class StreamExecutor {
   /// Checkpoint barrier: quiesces every shard (a command rides the FIFO
   /// behind all previously submitted frames, so each shard's export reflects
   /// a window boundary of its own timeline) and exports the full executor
-  /// state. Refuses with Unavailable while any shard is failed over or an
-  /// orphaned reply is still pending — a consistent cut is impossible then.
-  /// Frames submitted concurrently with the barrier land after it and are
-  /// simply not part of the snapshot.
-  Result<ExecutorCkpt> Checkpoint() VCD_EXCLUDES(control_mu_);
+  /// state, epoch-consistent across shards: META stamped from this
+  /// executor's config, the id/sequence counters, every stream ascending by
+  /// id, every match reported before the barrier (merged and still pending,
+  /// by seq — what matches() would return after a Drain() there, without
+  /// draining) and the governor machines. The caller adds QUERYDB and,
+  /// for vcdctl, DRIVER. Refuses with Unavailable while any shard is
+  /// failed over or an orphaned reply is still pending — a consistent cut
+  /// is impossible then. Frames submitted concurrently with the barrier
+  /// land after it and are simply not part of the snapshot.
+  Result<ckpt::SnapshotState> Checkpoint() VCD_EXCLUDES(control_mu_);
 
   /// Restores a checkpoint onto a fresh executor.
   ///
   /// Preconditions: the portfolio has been re-imported (ImportQueries with
   /// the snapshot's embedded QueryDb) and no stream has been opened.
-  /// Rebuilds each stream's detector on its home shard's portfolio
-  /// (`(id - 1) % num_threads` — the same affinity the ids had before the
-  /// crash, provided num_threads matches the checkpointed run) and
-  /// re-validates it (typed errors on malformed state). All or nothing: a
-  /// stream installs only once every stream has restored, so on any error
-  /// the executor is left as it was.
-  Status RestoreCkpt(const ExecutorCkpt& ckpt) VCD_EXCLUDES(control_mu_);
+  /// Refuses a snapshot whose META disagrees with this executor's config
+  /// (ckpt::CheckMeta, FailedPrecondition). Rebuilds each stream's
+  /// detector on its home shard's portfolio (`(id - 1) % num_threads` —
+  /// the same affinity the ids had before the crash, provided num_threads
+  /// matches the checkpointed run) and re-validates it (typed errors on
+  /// malformed state). All or nothing: a stream installs only once every
+  /// stream has restored, so on any error the executor is left as it was.
+  Status RestoreCkpt(const ckpt::SnapshotState& state) VCD_EXCLUDES(control_mu_);
 
   /// Executor counters plus per-shard stats and aggregated detector stats.
   /// Round-trips through every live shard; a failed-over shard is reported
@@ -262,8 +249,12 @@ class StreamExecutor {
   /// A CloseStream/Drain reply abandoned because its shard was failed over.
   /// The promise still completes when the shard drains; ReapOrphansLocked
   /// folds the carried matches in then.
+  /// A shard's reply to a close or a drain: its sticky status and the
+  /// matches it logged.
+  using MatchReply = std::pair<Status, std::vector<SeqMatch>>;
+
   struct Orphan {
-    std::future<std::pair<Status, std::vector<SeqMatch>>> reply;
+    std::future<MatchReply> reply;
     bool is_close = false;  ///< successful close decrements num_open_streams_
   };
 
@@ -273,6 +264,21 @@ class StreamExecutor {
   Shard* shard_for(int stream_id) const {
     return shards_[static_cast<size_t>(stream_id - 1) % shards_.size()].get();
   }
+
+  /// True for an id OpenStream has issued (open or closed since).
+  bool issued(int stream_id) const {
+    return stream_id > 0 && stream_id < next_stream_id_.load(std::memory_order_acquire);
+  }
+
+  /// Runs \p fn on \p shard's worker, behind everything queued there, and
+  /// returns a future for its result.
+  template <typename Fn>
+  static auto Ask(Shard* shard, Fn fn) -> std::future<decltype(fn(shard))>;
+
+  /// StreamStats/HealthOf body: runs \p query for \p stream_id on its shard.
+  template <typename T>
+  Result<T> AskStream(int stream_id, Result<T> (Shard::*query)(int) const)
+      VCD_EXCLUDES(control_mu_);
 
   /// AddQuerySketch body; requires control_mu_ held.
   Status AddQuerySketchLocked(int id, const sketch::Sketch& sk, int length_frames,
@@ -334,10 +340,6 @@ class StreamExecutor {
   std::set<int> query_ids_ VCD_GUARDED_BY(control_mu_);
   std::vector<SeqMatch> merged_ VCD_GUARDED_BY(control_mu_);
   std::vector<Orphan> orphans_ VCD_GUARDED_BY(control_mu_);
-  /// QoS class of every open stream — the control-plane source of truth
-  /// (the per-shard shed gates are the producer-path copy) and what the
-  /// checkpoint codec persists per stream.
-  std::map<int, qos::Priority> priorities_ VCD_GUARDED_BY(control_mu_);
 
   std::atomic<int> next_stream_id_{1};
   std::atomic<int> num_open_streams_{0};

@@ -222,16 +222,14 @@ void Shard::ProcessFrame(Task& t) {
   if (faultfx::ShouldFire(faultfx::Site::kClockSkew, key, &skew)) {
     t.frame.timestamp += skew;
   }
+  const int64_t out_of_order = slot.detector->stats().out_of_order_frames;
   Status st = slot.detector->ProcessKeyFrame(t.frame);
   if (!st.ok() && first_error_.ok()) first_error_ = st;
-  DrainSlotMatches(t.stream_id, &slot, t.seq);
+  LogMatches(t.stream_id, &slot, t.seq);
   metrics_.frames_processed_total->Inc();
-  // Clock skew counts as a fault for the health machine: the detector
-  // demoted the frame (out_of_order_frames) even though it arrived with
-  // degraded = false.
-  if (slot.saw_timestamp && t.frame.timestamp < slot.max_timestamp) fault = true;
-  slot.max_timestamp = std::max(slot.max_timestamp, t.frame.timestamp);
-  slot.saw_timestamp = true;
+  // Clock skew counts as a fault for the health machine: the detector's
+  // guard demoted the frame even though it arrived with degraded = false.
+  if (slot.detector->stats().out_of_order_frames != out_of_order) fault = true;
   if (fault) metrics_.frames_degraded_total->Inc();
   UpdateHealth(t.stream_id, &slot, fault);
 }
@@ -276,11 +274,10 @@ void Shard::UpdateHealth(int stream_id, StreamSlot* slot, bool fault) {
   }
 }
 
-void Shard::DrainSlotMatches(int stream_id, StreamSlot* slot, uint64_t seq) {
-  const auto& ms = slot->detector->matches();
-  for (; slot->matches_consumed < ms.size(); ++slot->matches_consumed) {
-    log_.push_back(SeqMatch{
-        seq, core::StreamMatch{stream_id, slot->name, ms[slot->matches_consumed]}});
+void Shard::LogMatches(int stream_id, StreamSlot* slot, uint64_t seq) {
+  if (slot->detector->matches().empty()) return;
+  for (const core::Match& m : slot->detector->TakeMatches()) {
+    log_.push_back(SeqMatch{seq, core::StreamMatch{stream_id, slot->name, m}});
   }
 }
 
@@ -311,10 +308,6 @@ Status Shard::StageRestore(std::vector<core::StreamCkpt> slots) {
     auto det = core::CopyDetector::Create(detector_config_, &portfolio_);
     if (!det.ok()) return det.status();
     VCD_RETURN_IF_ERROR((*det)->RestoreCkptState(ckpt.detector));
-    if (static_cast<size_t>(ckpt.matches_consumed) > (*det)->matches().size()) {
-      return Status::Corruption(
-          "snapshot matches_consumed exceeds the stream's match count");
-    }
     ckpt.detector = core::DetectorCkptState{};  // restored; free the copy
     staged_.emplace_back(std::move(ckpt), std::move(det).value());
   }
@@ -329,19 +322,16 @@ void Shard::FinishRestore(bool install) {
     StreamSlot slot;
     slot.name = ckpt.name;
     slot.detector = std::move(detector);
-    slot.matches_consumed = static_cast<size_t>(ckpt.matches_consumed);
     slot.health = static_cast<StreamHealth>(ckpt.health);
     slot.consecutive_faults = ckpt.consecutive_faults;
     slot.consecutive_clean = ckpt.consecutive_clean;
     slot.quarantine_remaining = ckpt.quarantine_remaining;
-    // Clamped into the configured range: snapshots of the serial engine of
-    // earlier versions carry 0 here, and a backoff that only ever doubles
-    // would then stay 0 and every quarantine would last one frame.
+    // Clamped into this shard's configured range: a snapshot taken under
+    // another config may carry any value, and a backoff of 0, which only
+    // ever doubles, would make every quarantine last one frame.
     slot.backoff_frames =
         std::clamp<int64_t>(ckpt.backoff_frames, config_.quarantine_backoff_frames,
                             config_.quarantine_backoff_max_frames);
-    slot.max_timestamp = ckpt.max_timestamp;
-    slot.saw_timestamp = ckpt.saw_timestamp;
     if (slot.health == StreamHealth::kQuarantined) {
       streams_quarantined_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -358,14 +348,16 @@ void Shard::ExportCkpt(std::vector<core::StreamCkpt>* slots,
     core::StreamCkpt s;
     s.stream_id = sid;
     s.name = slot.name;
-    s.matches_consumed = slot.matches_consumed;
     s.health = static_cast<int>(slot.health);
     s.consecutive_faults = slot.consecutive_faults;
     s.consecutive_clean = slot.consecutive_clean;
     s.quarantine_remaining = slot.quarantine_remaining;
     s.backoff_frames = slot.backoff_frames;
-    s.max_timestamp = slot.max_timestamp;
-    s.saw_timestamp = slot.saw_timestamp;
+    {
+      MutexLock lock(qos_mu_);
+      auto it = qos_gate_.find(sid);
+      if (it != qos_gate_.end()) s.priority = static_cast<int>(it->second.priority);
+    }
     s.detector = slot.detector->ExportCkptState();
     slots->push_back(std::move(s));
   }
@@ -383,7 +375,7 @@ Status Shard::FinishStream(int stream_id, uint64_t close_seq,
     streams_failed_.fetch_sub(1, std::memory_order_relaxed);
   }
   Status st = it->second.detector->Finish();
-  DrainSlotMatches(stream_id, &it->second, close_seq);
+  LogMatches(stream_id, &it->second, close_seq);
   out->swap(log_);
   streams_.erase(it);
   num_streams_.fetch_sub(1, std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "core/detector.h"
 #include "core/portfolio.h"
@@ -43,19 +44,18 @@
 /// "shard-thread side" methods run only inside a queued Command, and
 /// cross-thread reads go through the relaxed-atomic counters in
 /// Snapshot(). The only shard mutex is the kQos-ranked shed gate
-/// (`qos_mu_`), taken briefly on the producer side and only while the
-/// governor holds the shard in Shedding; it is never held across a queue
-/// push (kQos < kQueue in the lock hierarchy).
+/// (`qos_mu_`), which holds every stream's priority: taken briefly on the
+/// producer side while the governor holds the shard in Shedding, by the
+/// control plane when a stream registers, and by ExportCkpt on the worker;
+/// it is never held across a queue push (kQos < kQueue in the lock
+/// hierarchy).
 
 namespace vcd::parallel {
 
 /// A match tagged with the global submission sequence number of the frame
 /// (or close command) that produced it — the merge key that restores
-/// arrival order across shards.
-struct SeqMatch {
-  uint64_t seq = 0;
-  core::StreamMatch match;
-};
+/// arrival order across shards, and the MATCHES record of a snapshot.
+using SeqMatch = ckpt::SnapshotMatch;
 
 /// Per-stream ingestion health (DESIGN.md §12). Transitions happen on the
 /// owning shard's worker thread as frames arrive:
@@ -176,8 +176,10 @@ class Shard {
         qos_state_.load(std::memory_order_acquire));
   }
 
-  /// Registers \p stream_id with the shed gate under \p priority. Called at
-  /// stream open/restore; idempotent (re-registration updates the class).
+  /// Registers \p stream_id with the shed gate under \p priority — the
+  /// stream's only priority record, which ExportCkpt copies into its
+  /// snapshot. Called at stream open/restore; idempotent (re-registration
+  /// updates the class).
   void RegisterStreamQos(int stream_id, qos::Priority priority);
 
   /// Forgets \p stream_id's shed-gate entry. Called at stream close.
@@ -215,9 +217,9 @@ class Shard {
   /// shard's config.
   void FinishRestore(bool install);
 
-  /// Exports every stream slot on this shard (health machine + detector
-  /// state) plus a COPY of the pending match log into \p out. The log is
-  /// not drained: matches stay queued for the next TakeMatches, so a
+  /// Exports every stream slot on this shard (health machine, shed-gate
+  /// priority, detector state) plus a COPY of the pending match log. The
+  /// log is not drained: matches stay queued for the next TakeMatches, so a
   /// checkpoint never perturbs what the live run reports.
   void ExportCkpt(std::vector<core::StreamCkpt>* slots,
                   std::vector<SeqMatch>* pending_log) const;
@@ -264,7 +266,6 @@ class Shard {
   struct StreamSlot {
     std::string name;
     std::unique_ptr<core::CopyDetector> detector;
-    size_t matches_consumed = 0;
 
     // Health state machine (worker-thread-owned, frame-count based so
     // transitions are deterministic under test).
@@ -273,8 +274,6 @@ class Shard {
     int consecutive_clean = 0;
     int64_t quarantine_remaining = 0;  ///< frames left to discard
     int64_t backoff_frames = 0;        ///< next quarantine's length
-    double max_timestamp = 0.0;        ///< clock-skew fault detection
-    bool saw_timestamp = false;
   };
 
   /// Worker loop: pops tasks until the queue is closed and drained.
@@ -288,8 +287,8 @@ class Shard {
   /// status is \p fault.
   void UpdateHealth(int stream_id, StreamSlot* slot, bool fault);
 
-  /// Appends the not-yet-consumed matches of \p slot to log_, tagged \p seq.
-  void DrainSlotMatches(int stream_id, StreamSlot* slot, uint64_t seq);
+  /// Takes \p slot's detector's new matches into log_, tagged \p seq.
+  void LogMatches(int stream_id, StreamSlot* slot, uint64_t seq);
 
   /// Adds \p slot under \p stream_id, which must not be on this shard yet.
   void InstallSlot(int stream_id, StreamSlot slot);
@@ -312,16 +311,16 @@ class Shard {
   /// while the shard is degraded.
   qos::DegradeKnobs active_knobs_;
 
-  /// One shed-gate entry per registered stream. `seq` is the stream's
-  /// weighted-round-robin position, advanced only while the shard sheds —
-  /// so a governor that never triggers leaves the gate untouched.
+  /// One shed-gate entry per registered stream: its priority, and `seq`,
+  /// its weighted-round-robin position, advanced only while the shard
+  /// sheds — so a governor that never triggers leaves the gate untouched.
   struct GateEntry {
     qos::Priority priority = qos::Priority::kNormal;
     uint64_t seq = 0;
   };
-  /// Shed gate (producer side). Taken only when qos_state_ says Shedding,
-  /// released before any queue push — kQos < kQueue in the lock hierarchy,
-  /// so holding it across a push would be a rank inversion.
+  /// Shed gate. The producer side takes it only when qos_state_ says
+  /// Shedding, and releases it before any queue push — kQos < kQueue in the
+  /// lock hierarchy, so holding it across a push would be a rank inversion.
   mutable Mutex qos_mu_{LockRank::kQos, "shard.qos_gate"};
   std::map<int, GateEntry> qos_gate_ VCD_GUARDED_BY(qos_mu_);
 

@@ -99,12 +99,6 @@ class SequentialCandidates {
     MaybeCompact();
   }
 
-  /// \copydoc RemoveIf
-  template <typename Pred>
-  void RemoveIf(Pred&& pred) {
-    RemoveIf(std::forward<Pred>(pred), [](C&) {});
-  }
-
   /// Drops all state (including recycled shells); \p retire sees every
   /// live candidate first.
   template <typename RetireFn>
@@ -113,11 +107,6 @@ class SequentialCandidates {
     buf_.clear();
     spares_.clear();
     head_ = 0;
-  }
-
-  /// \copydoc Clear
-  void Clear() {
-    Clear([](C&) {});
   }
 
   /// Appends a fully constructed candidate behind the current newest one —
@@ -238,32 +227,6 @@ class GeometricCandidates {
     }
   }
 
-  /// Removes candidates for which \p pred returns true; \p retire is called
-  /// on each removed candidate.
-  template <typename Pred, typename RetireFn>
-  void RemoveIf(Pred&& pred, RetireFn&& retire) {
-    for (auto& slot : ladder_) {
-      if (slot.has_value() && pred(*slot)) {
-        retire(*slot);
-        spares_.push_back(std::move(*slot));
-        slot.reset();
-      }
-    }
-  }
-
-  /// \copydoc RemoveIf
-  template <typename Pred>
-  void RemoveIf(Pred&& pred) {
-    RemoveIf(std::forward<Pred>(pred), [](C&) {});
-  }
-
-  /// Number of live candidates.
-  size_t size() const {
-    size_t n = 0;
-    for (const auto& slot : ladder_) n += slot.has_value();
-    return n;
-  }
-
   /// Drops all state (including recycled shells); \p retire sees every
   /// live candidate first.
   template <typename RetireFn>
@@ -273,11 +236,6 @@ class GeometricCandidates {
     }
     ladder_.clear();
     spares_.clear();
-  }
-
-  /// \copydoc Clear
-  void Clear() {
-    Clear([](C&) {});
   }
 
  private:

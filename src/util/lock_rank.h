@@ -13,8 +13,7 @@
 ///
 /// Outermost (acquired first) to innermost (acquired last):
 ///
-///   kExecutorControl > kShard > kQueue > kQos > kHealth
-///                    > kMetricsRegistry > kLeaf
+///   kExecutorControl > kShard > kQueue > kQos > kMetricsRegistry > kLeaf
 ///
 /// Two enforcement layers consume these ranks:
 ///   - Static: `VCD_ACQUIRED_BEFORE`/`VCD_ACQUIRED_AFTER` annotations on the
@@ -42,14 +41,11 @@ enum class LockRank : int {
   /// stream's detector, which registers its instruments, inside a queued
   /// command.
   kMetricsRegistry = 20,
-  /// Reserved for the per-stream health machine (DESIGN.md §12). Today its
-  /// state is confined to the owning shard's worker thread and needs no
-  /// mutex; the rank pins where one would sit if that ever changes.
-  kHealth = 30,
   /// Per-shard QoS shed gate (stream priority map + weighted-round-robin
   /// shed counters). Taken briefly on the frame submission path while the
-  /// governor has the shard in Shedding, and by the control plane when a
-  /// stream registers its priority; never held across a queue push.
+  /// governor has the shard in Shedding, by the control plane when a
+  /// stream registers its priority, and by the shard worker when a
+  /// checkpoint exports it; never held across a queue push.
   kQos = 35,
   /// parallel::BoundedMpscQueue submission-queue mutexes. Taken while the
   /// executor control mutex (command fan-out) or the watchdog mutex
@@ -71,8 +67,6 @@ inline const char* LockRankName(LockRank r) {
       return "kLeaf";
     case LockRank::kMetricsRegistry:
       return "kMetricsRegistry";
-    case LockRank::kHealth:
-      return "kHealth";
     case LockRank::kQos:
       return "kQos";
     case LockRank::kQueue:

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "core/detector.h"
 #include "parallel/executor.h"
@@ -174,12 +175,13 @@ TEST(BackoffRestoreTest, RestoredRunMatchesUninterruptedRun) {
   EXPECT_EQ(a.consecutive_clean, b.consecutive_clean);
   EXPECT_EQ(a.quarantine_remaining, b.quarantine_remaining);
   EXPECT_EQ(a.backoff_frames, b.backoff_frames);
-  EXPECT_EQ(a.max_timestamp, b.max_timestamp);
-  EXPECT_EQ(a.saw_timestamp, b.saw_timestamp);
+  // The clock-skew guard lives in the detector.
+  EXPECT_EQ(a.detector.max_timestamp, b.detector.max_timestamp);
+  EXPECT_EQ(a.detector.saw_frame, b.detector.saw_frame);
 }
 
 TEST(BackoffRestoreTest, SerialShapeSnapshotKeepsConfiguredBackoff) {
-  // The serial engine of earlier versions wrote every health field at its
+  // A snapshot in the serial shape carries every health field at its
   // default, backoff_frames = 0 included. Installed as is, a backoff that
   // only ever doubles stays 0 and every quarantine lasts one frame; the
   // restore clamps it into the configured range instead, so both snapshots
@@ -193,10 +195,10 @@ TEST(BackoffRestoreTest, SerialShapeSnapshotKeepsConfiguredBackoff) {
   auto own = exec->Checkpoint();
   ASSERT_TRUE(own.ok()) << own.status().ToString();
   ASSERT_EQ(own->streams.size(), 1u);
-  parallel::ExecutorCkpt serial_shape = *own;
+  ckpt::SnapshotState serial_shape = *own;
   serial_shape.streams[0].backoff_frames = 0;
 
-  for (const parallel::ExecutorCkpt* snapshot : {&*own, &serial_shape}) {
+  for (const ckpt::SnapshotState* snapshot : {&*own, &serial_shape}) {
     auto restored = StreamExecutor::Create(SmallConfig(), pc).value();
     ASSERT_TRUE(restored->RestoreCkpt(*snapshot).ok());
     for (int64_t i = 0; i < 100; ++i) {

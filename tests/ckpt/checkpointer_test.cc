@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.h"
 #include "core/config.h"
+#include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/faultfx.h"
 #include "util/status.h"
@@ -147,6 +149,36 @@ TEST_F(CheckpointerTest, AllSnapshotsCorruptIsTypedCorruption) {
     ASSERT_TRUE(w->Commit().ok());
   }
   EXPECT_EQ(c->LoadLatest().status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(CheckpointerTest, OtherFormatVersionIsFailedPreconditionNotCorruption) {
+  // Snapshots of another format version are skipped like unreadable ones,
+  // but they are not corrupt: the restore-corruption counter stays 0, and
+  // when no entry loads the caller hears the version, not "unreadable".
+  obs::MetricsRegistry registry;
+  auto c = Checkpointer::Open(dir_, &registry);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c->Save(MakeState(1)).ok());
+  ASSERT_TRUE(c->Save(MakeState(2)).ok());
+  for (const char* name :
+       {"ckpt-0000000000000001.vck", "ckpt-0000000000000002.vck"}) {
+    const std::string path = dir_ + "/" + name;
+    std::string image;
+    ASSERT_TRUE(util::ReadFileToString(path, &image).ok());
+    image[4] = static_cast<char>(kSnapshotFormatVersion + 1);  // LE u32
+    auto w = util::AtomicFileWriter::Open(path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w->Append(image).ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  const Status st = c->LoadLatest().status();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.ToString().find("format version"), std::string::npos) << st.ToString();
+  int64_t corruption = -1;
+  for (const obs::MetricSnapshot& m : registry.Collect()) {
+    if (m.name == "vcd_ckpt_restore_corruption_total") corruption = m.value;
+  }
+  EXPECT_EQ(corruption, 0);
 }
 
 TEST_F(CheckpointerTest, BadManifestHeaderIsCorruption) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,7 +32,6 @@ namespace {
 using core::DetectorConfig;
 using core::ParallelConfig;
 using core::StreamMatch;
-using parallel::ExecutorCkpt;
 using parallel::StreamExecutor;
 
 DetectorConfig SmallConfig() {
@@ -114,28 +114,13 @@ void ExpectSameStats(const core::DetectorStats& a, const core::DetectorStats& b)
 
 /// Round-trips an executor checkpoint through the full binary snapshot
 /// format, as a real crash-restart would read it.
-ExecutorCkpt ThroughCodec(const DetectorConfig& config, const ExecutorCkpt& ec) {
-  ckpt::SnapshotState state;
-  ckpt::StampMeta(config, &state);
-  state.next_stream_id = ec.next_stream_id;
-  state.next_seq = ec.next_seq;
-  state.streams = ec.streams;
-  for (const auto& m : ec.matches) {
-    state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
-  }
+ckpt::SnapshotState ThroughCodec(const ckpt::SnapshotState& state) {
   const auto image = ckpt::EncodeSnapshot(1, ckpt::EncodeState(state));
   auto snap = ckpt::DecodeSnapshot(image.data(), image.size());
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   auto back = ckpt::DecodeState(*snap);
   EXPECT_TRUE(back.ok()) << back.status().ToString();
-  ExecutorCkpt out;
-  out.next_stream_id = back->next_stream_id;
-  out.next_seq = back->next_seq;
-  out.streams = back->streams;
-  for (const auto& m : back->matches) {
-    out.matches.push_back(parallel::SeqMatch{m.seq, m.match});
-  }
-  return out;
+  return *back;
 }
 
 std::unique_ptr<StreamExecutor> MakeExecutor(int threads) {
@@ -184,20 +169,21 @@ std::pair<RunOutput, RunOutput> KillRestore(int threads, int streams, int cut) {
   std::vector<int> sids;
   auto uninterrupted = MakeExecutor(threads);
   for (int s = 0; s < streams; ++s) {
-    sids.push_back(*uninterrupted->OpenStream("s" + std::to_string(s)));
+    sids.push_back(*uninterrupted->OpenStream(std::string("s") + std::to_string(s)));
   }
   RunOutput a = Finish(uninterrupted.get(), sids, 0);
 
   auto first = MakeExecutor(threads);
   for (int s = 0; s < streams; ++s) {
-    EXPECT_EQ(*first->OpenStream("s" + std::to_string(s)), sids[static_cast<size_t>(s)]);
+    EXPECT_EQ(*first->OpenStream(std::string("s") + std::to_string(s)),
+              sids[static_cast<size_t>(s)]);
   }
   Feed(first.get(), sids, 0, cut);
   auto ec = first->Checkpoint();
   EXPECT_TRUE(ec.ok()) << ec.status().ToString();
 
   auto resumed = MakeExecutor(threads);
-  EXPECT_TRUE(resumed->RestoreCkpt(ThroughCodec(SmallConfig(), *ec)).ok());
+  EXPECT_TRUE(resumed->RestoreCkpt(ThroughCodec(*ec)).ok());
   return {std::move(a), Finish(resumed.get(), sids, cut)};
 }
 
@@ -220,8 +206,8 @@ TEST_P(RestoreEquivalenceTest, ParallelKillRestoreIsByteIdentical) {
 TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
   // The codec knows no thread count: a snapshot taken at 1 thread restores
   // onto 2 threads and continues exactly as the 1-thread run does. So does
-  // the shape the serial engine of earlier versions wrote: every match at
-  // seq 0, next_seq 1, and the health machine at its defaults.
+  // the serial shape, with every match at seq 0, next_seq 1 and the health
+  // machine at its defaults: continuing the stream reads none of them.
   const int cut = GetParam();
   auto reference = MakeExecutor(1);
   const std::vector<int> sids = {*reference->OpenStream("s")};
@@ -234,20 +220,19 @@ TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
   auto ec = first->Checkpoint();
   ASSERT_TRUE(ec.ok()) << ec.status().ToString();
 
-  ExecutorCkpt serial_shape = *ec;
+  ckpt::SnapshotState serial_shape = *ec;
   serial_shape.next_seq = 1;
   for (auto& m : serial_shape.matches) m.seq = 0;
   for (core::StreamCkpt& s : serial_shape.streams) {
     core::StreamCkpt defaults;
     defaults.stream_id = s.stream_id;
     defaults.name = s.name;
-    defaults.matches_consumed = s.matches_consumed;
     defaults.detector = std::move(s.detector);
     s = std::move(defaults);
   }
-  for (const ExecutorCkpt& snapshot : {*ec, serial_shape}) {
+  for (const ckpt::SnapshotState& snapshot : {*ec, serial_shape}) {
     auto resumed = MakeExecutor(2);
-    ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(SmallConfig(), snapshot)).ok());
+    ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(snapshot)).ok());
     const RunOutput got = Finish(resumed.get(), sids, cut);
     ExpectSameMatches(want.matches, got.matches);
     ExpectSameStats(want.stats, got.stats);
@@ -257,8 +242,8 @@ TEST_P(RestoreEquivalenceTest, SerialAndParallelSnapshotsInterchange) {
 /// A snapshot holds raw signature words and min-hash arrays, never slab
 /// layout, so it restores onto a detector whose pools run another kernel
 /// ISA. Export mid-copy under one ISA, restore under the other (scalar to
-/// the dispatched best and back), finish the stream: matches and stats must
-/// equal an uninterrupted best-ISA run.
+/// the dispatched best and back), finish the stream: the matches from the
+/// cut on and the stats must equal an uninterrupted best-ISA run's.
 TEST(KernelIsaRestoreTest, SnapshotRestoresAcrossIsas) {
   namespace sk = sketch::kernels;
   const std::string best = sk::ActiveOps().name;
@@ -287,10 +272,16 @@ TEST(KernelIsaRestoreTest, SnapshotRestoresAcrossIsas) {
       };
 
       auto uninterrupted = make(best);
-      feed(uninterrupted.get(), 0, kTotalFrames);
+      feed(uninterrupted.get(), 0, kCut);
+      const size_t before_cut = uninterrupted->matches().size();
+      feed(uninterrupted.get(), kCut, kTotalFrames);
       ASSERT_TRUE(uninterrupted->Finish().ok());
-      const std::vector<core::Match>& want = uninterrupted->matches();
-      ASSERT_FALSE(want.empty()) << "scenario must actually match";
+      ASSERT_FALSE(uninterrupted->matches().empty()) << "scenario must actually match";
+      // A restored detector reports only the matches after the cut; where
+      // the copy matched before it, the restored report cooldown must keep
+      // it from matching again.
+      std::vector<core::Match> want = uninterrupted->matches();
+      want.erase(want.begin(), want.begin() + static_cast<std::ptrdiff_t>(before_cut));
 
       for (const auto& [from, to] : {std::pair<std::string, std::string>{"scalar", best},
                                      std::pair<std::string, std::string>{best, "scalar"}}) {
@@ -363,7 +354,7 @@ TEST(RestoreAfterRemovalTest, SketchNoIndexStatsMatchUninterrupted) {
   ASSERT_TRUE(ec.ok()) << ec.status().ToString();
 
   auto resumed = make(false);
-  ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(config, *ec)).ok());
+  ASSERT_TRUE(resumed->RestoreCkpt(ThroughCodec(*ec)).ok());
   const RunOutput got = Finish(resumed.get(), sids, kCut);
   ExpectSameMatches(want.matches, got.matches);
   ExpectSameStats(want.stats, got.stats);
@@ -389,7 +380,7 @@ TEST(RestoreAllOrNothingTest, FailedRestoreInstallsNoStream) {
     auto good = first->Checkpoint();
     ASSERT_TRUE(good.ok()) << good.status().ToString();
     ASSERT_EQ(good->streams.size(), 2u);
-    ExecutorCkpt bad = *good;
+    ckpt::SnapshotState bad = *good;
     bad.streams[1].detector.queries.push_back({999, -1.0});
 
     // The ids the snapshot would have taken open fresh streams.
@@ -415,6 +406,41 @@ TEST(RestoreAllOrNothingTest, FailedRestoreInstallsNoStream) {
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(restored->key_frames, 40);
   }
+}
+
+/// META records every detector setting a snapshot's state depends on,
+/// pruning and the index included: a snapshot taken with pruning off and
+/// the index on is refused by an executor with pruning on, and by one with
+/// the index off, before any stream is installed.
+TEST(RestoreMetaTest, PruningOrIndexMismatchIsRefused) {
+  DetectorConfig taken = SmallConfig();
+  taken.enable_pruning = false;
+  ParallelConfig pc;
+  pc.num_threads = 1;
+  auto first = StreamExecutor::Create(taken, pc).value();
+  ASSERT_TRUE(first->AddQuery(1, QueryFrames()).ok());
+  const std::vector<int> sids = {*first->OpenStream("s")};
+  Feed(first.get(), sids, 0, 40);
+  auto snapshot = first->Checkpoint();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  DetectorConfig pruned = taken;
+  pruned.enable_pruning = true;
+  DetectorConfig no_index = taken;
+  no_index.use_index = false;
+  for (const DetectorConfig& config : {pruned, no_index}) {
+    auto resumed = StreamExecutor::Create(config, pc).value();
+    ASSERT_TRUE(resumed->AddQuery(1, QueryFrames()).ok());
+    const Status st = resumed->RestoreCkpt(ThroughCodec(*snapshot));
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_EQ(resumed->num_open_streams(), 0);
+    EXPECT_EQ(StreamsOnShards(resumed.get()), 0);
+  }
+  // The same snapshot restores under the settings it was taken with.
+  auto same = StreamExecutor::Create(taken, pc).value();
+  ASSERT_TRUE(same->AddQuery(1, QueryFrames()).ok());
+  ASSERT_TRUE(same->RestoreCkpt(ThroughCodec(*snapshot)).ok());
+  EXPECT_EQ(same->num_open_streams(), 1);
 }
 
 // Cut points: before the copy, mid-copy (candidates live), right at the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "ckpt/state_codec.h"
@@ -92,6 +93,16 @@ TEST(SnapshotTest, NewerFormatVersionIsFailedPrecondition) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(SnapshotTest, OlderFormatVersionIsFailedPrecondition) {
+  // Version 1 snapshots carried fields version 2 dropped; they are refused
+  // by version, not misread as corrupt.
+  auto image = EncodeSnapshot(7, TwoSections());
+  image[4] = static_cast<uint8_t>(kSnapshotFormatVersion - 1);  // LE u32
+  const Status st = DecodeSnapshot(image.data(), image.size()).status();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.ToString().find("format version 1"), std::string::npos) << st.ToString();
+}
+
 TEST(StateCodecTest, MetaRoundTripAndCheck) {
   core::DetectorConfig config;
   config.K = 48;
@@ -128,6 +139,12 @@ TEST(StateCodecTest, MetaRoundTripAndCheck) {
   EXPECT_EQ(CheckMeta(*back, wrong).code(), StatusCode::kFailedPrecondition);
   wrong = config;
   wrong.delta = 0.9;
+  EXPECT_EQ(CheckMeta(*back, wrong).code(), StatusCode::kFailedPrecondition);
+  wrong = config;
+  wrong.use_index = !config.use_index;
+  EXPECT_EQ(CheckMeta(*back, wrong).code(), StatusCode::kFailedPrecondition);
+  wrong = config;
+  wrong.enable_pruning = !config.enable_pruning;
   EXPECT_EQ(CheckMeta(*back, wrong).code(), StatusCode::kFailedPrecondition);
 }
 

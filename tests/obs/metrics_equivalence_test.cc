@@ -174,6 +174,34 @@ TEST_F(MetricsEquivalenceTest, CountersMirrorDetectorStats) {
             counters.at("vcd_detector_candidates_expired_total"));
 }
 
+TEST_F(MetricsEquivalenceTest, TakenMatchesStayCounted) {
+  // An executor shard takes each frame's matches out of its detector
+  // (TakeMatches). The published match counter must still count every match
+  // the detector reported: RunAndCollect's schedule, with the first copy's
+  // match taken before the second copy plays.
+  DetectorConfig config = SmallConfig();
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  Rng rng(424242);
+  const std::vector<CellId> query1 = RandomContent(&rng, 40, 0, 1000);
+  const std::vector<CellId> query2 = RandomContent(&rng, 30, 1000, 2000);
+  auto det = CopyDetector::Create(config).value();
+  ASSERT_TRUE(det->AddQueryCells(1, query1, 16.0).ok());
+  ASSERT_TRUE(det->AddQueryCells(2, query2, 12.0).ok());
+  int64_t slot = 0;
+  Feed(det.get(), RandomContent(&rng, 50, 5000, 9000), &slot);
+  Feed(det.get(), query1, &slot);
+  Feed(det.get(), RandomContent(&rng, 25, 5000, 9000), &slot);
+  ASSERT_EQ(det->matches().size(), 1u);
+  EXPECT_EQ(det->TakeMatches().size(), 1u);
+  EXPECT_TRUE(det->matches().empty());
+  Feed(det.get(), query2, &slot);
+  Feed(det.get(), RandomContent(&rng, 30, 5000, 9000), &slot);
+  ASSERT_TRUE(det->Finish().ok());
+  EXPECT_EQ(det->matches().size(), 1u);
+  EXPECT_EQ(Counters(registry).at("vcd_detector_matches_total"), 2);
+}
+
 TEST_F(MetricsEquivalenceTest, RestoreSeedsQosSkippedCounter) {
   // A restored detector publishes post-restore activity only. Five windows
   // with every second one QoS-skipped (windows 1 and 3), a restore into a

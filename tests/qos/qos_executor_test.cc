@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/state_codec.h"
 #include "core/config.h"
 #include "obs/metrics.h"
 #include "parallel/executor.h"
@@ -34,8 +35,8 @@ namespace {
 
 using core::DetectorConfig;
 using core::ParallelConfig;
+using ckpt::SnapshotState;
 using core::StreamMatch;
-using parallel::ExecutorCkpt;
 using parallel::ExecutorStats;
 using parallel::StreamExecutor;
 using qos::Priority;
@@ -172,7 +173,7 @@ TEST(QosExecutorTest, IdleGovernorIsByteIdenticalToGovernorOff) {
 /// Builds a single-shard executor with three open streams (high/normal/low),
 /// feeds \p warm_slots frames each, and returns its checkpoint.
 struct SeededCkpt {
-  ExecutorCkpt ckpt;
+  SnapshotState ckpt;
   int sid_high = 0, sid_normal = 0, sid_low = 0;
 };
 
@@ -275,7 +276,7 @@ TEST(QosExecutorTest, DegradedKnobsSkipWindowsAndRecoveryWithdrawsThem) {
   EXPECT_GT(skipped_degraded, 0);
 
   // A mid-Degraded checkpoint carries the governor machine.
-  const ExecutorCkpt mid = exec->Checkpoint().value();
+  const SnapshotState mid = exec->Checkpoint().value();
   ASSERT_EQ(mid.qos.size(), 1u);
   EXPECT_EQ(mid.qos[0].state, static_cast<int32_t>(QosState::kDegraded));
 
@@ -372,7 +373,7 @@ TEST(QosExecutorTest, OverloadSoakShedsLowNeverHighAndSurvivesRestore) {
   QosState worst = QosState::kNormal;
   int64_t max_lag_us = 0;
   bool ckpt_taken = false;
-  ExecutorCkpt mid;
+  SnapshotState mid;
   int64_t hi_submitted = 0;
   for (int round = 0; round < 120; ++round) {
     for (int sid : {hi, nm, lo0, lo1}) {

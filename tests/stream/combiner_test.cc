@@ -30,6 +30,13 @@ void StepWindow(Container* container, int i, int max_windows) {
       max_windows, [&](Cand& c) { c = Fresh(i); }, Merge, [](Cand&) {});
 }
 
+/// Live candidates of \p geo, counted through ForEach.
+size_t LiveCount(GeometricCandidates<Cand>* geo) {
+  size_t n = 0;
+  geo->ForEach([&](Cand&) { ++n; });
+  return n;
+}
+
 /// The cumulative suffix candidates VisitSuffixesInto visits, in order.
 std::vector<Cand> Suffixes(const GeometricCandidates<Cand>& geo, int max_windows) {
   std::vector<Cand> visited;
@@ -64,17 +71,12 @@ TEST(SequentialCandidatesTest, ExpiryDropsOldest) {
   seq.ForEach([](const Cand& c) { EXPECT_LE(c.num_windows, 3); });
 }
 
-TEST(SequentialCandidatesTest, RemoveIf) {
-  SequentialCandidates<Cand> seq;
-  for (int i = 0; i < 5; ++i) StepWindow(&seq, i, 10);
-  seq.RemoveIf([](const Cand& c) { return c.num_windows % 2 == 0; });
-  seq.ForEach([](const Cand& c) { EXPECT_EQ(c.num_windows % 2, 1); });
-}
-
 TEST(SequentialCandidatesTest, Clear) {
   SequentialCandidates<Cand> seq;
   StepWindow(&seq, 0, 5);
-  seq.Clear();
+  int retired = 0;
+  seq.Clear([&](Cand&) { ++retired; });
+  EXPECT_EQ(retired, 1);
   EXPECT_TRUE(seq.empty());
 }
 
@@ -147,7 +149,10 @@ TEST(SequentialCandidatesTest, RemoveIfRetiresDropped) {
                  ++retired;
                });
   EXPECT_EQ(retired, 2);  // lengths 2 and 4 dropped
-  seq.ForEach([](const RCand& c) { EXPECT_TRUE(c.owns); });
+  seq.ForEach([](const RCand& c) {
+    EXPECT_TRUE(c.owns);
+    EXPECT_EQ(c.num_windows % 2, 1);
+  });
   retired = 0;
   seq.Clear([&](RCand& c) {
     c.owns = false;
@@ -234,7 +239,7 @@ TEST(GeometricCandidatesTest, BinaryCounterSizes) {
     }
   }
   EXPECT_EQ(live, 1);
-  EXPECT_EQ(geo.size(), 1u);
+  EXPECT_EQ(LiveCount(&geo), 1u);
 }
 
 TEST(GeometricCandidatesTest, CounterValueMatchesWindowCount) {
@@ -246,7 +251,7 @@ TEST(GeometricCandidatesTest, CounterValueMatchesWindowCount) {
     if (slot.has_value()) total += slot->num_windows;
   }
   EXPECT_EQ(total, n);
-  EXPECT_EQ(geo.size(), 3u);  // bits set in 13
+  EXPECT_EQ(LiveCount(&geo), 3u);  // bits set in 13
 }
 
 TEST(GeometricCandidatesTest, BlocksAreContiguousNewestFirst) {
@@ -307,21 +312,17 @@ TEST(GeometricCandidatesTest, LogarithmicLiveCount) {
   GeometricCandidates<Cand> geo;
   for (int i = 0; i < 1000; ++i) StepWindow(&geo, i, 1 << 20);
   // popcount(1000) = 6 live blocks; never more than log2(1000)+1.
-  EXPECT_LE(geo.size(), 10u);
-  EXPECT_EQ(geo.size(), 6u);
+  EXPECT_LE(LiveCount(&geo), 10u);
+  EXPECT_EQ(LiveCount(&geo), 6u);
 }
 
-TEST(GeometricCandidatesTest, RemoveIfAndClear) {
+TEST(GeometricCandidatesTest, ClearRetiresEveryLiveCandidate) {
   GeometricCandidates<Cand> geo;
   for (int i = 0; i < 7; ++i) StepWindow(&geo, i, 100);
-  geo.RemoveIf([](const Cand& c) { return c.num_windows == 2; });
-  for (const auto& slot : geo.ladder()) {
-    if (slot.has_value()) {
-      EXPECT_NE(slot->num_windows, 2);
-    }
-  }
-  geo.Clear();
-  EXPECT_EQ(geo.size(), 0u);
+  int retired = 0;
+  geo.Clear([&](Cand&) { ++retired; });
+  EXPECT_EQ(retired, 3);  // popcount(7)
+  EXPECT_EQ(LiveCount(&geo), 0u);
 }
 
 TEST(GeometricCandidatesTest, ForEachVisitsAllLive) {

@@ -9,7 +9,8 @@
 # at the top of a round-robin cycle, and pins that the default run prints
 # the same MATCH lines as --threads=2. A third fixture has two files whose
 # matches fire one key frame apart, later file first, so a checkpoint cut
-# mid-cycle flips their MATCH order after a restore.
+# mid-cycle flips their MATCH order after a restore. Snapshots of another
+# format version are refused by version, not restored or called corrupt.
 #
 # Usage: crash_recovery_test.sh <path-to-vcdctl> [seed]
 set -u
@@ -166,6 +167,30 @@ else
   FAILED=1
 fi
 
+# --- format version: a version-1 directory is refused, by version ---------
+DIR="$WORK/ckpt-v1"
+cp -r "$WORK/ckpt-drain" "$DIR"
+for f in "$DIR"/ckpt-*.vck; do
+  # format_version is the little-endian u32 right after the 4-byte magic.
+  printf '\001' | dd of="$f" bs=1 seek=4 count=1 conv=notrunc 2>/dev/null
+done
+"$VCDCTL" monitor "$WORK/q.vcdq" "$WORK/stream.vcds" \
+  --checkpoint-dir="$DIR" --restore > "$WORK/v1.out" 2> "$WORK/v1.err"
+RC=$?
+if [ $RC -eq 0 ]; then
+  echo "FAIL: version-1 snapshots: restore exited 0 instead of refusing them"
+  FAILED=1
+fi
+if ! grep -q '^error: .*format version 1' "$WORK/v1.err"; then
+  echo "FAIL: version-1 snapshots: the error does not name the format version:"
+  cat "$WORK/v1.err"
+  FAILED=1
+fi
+if grep -q '^MATCH' "$WORK/v1.out"; then
+  echo "FAIL: version-1 snapshots: a refused restore still printed matches"
+  FAILED=1
+fi
+
 # --- three files round-robin at --threads=2 --------------------------------
 # The queries are prefixes of two of the streams, so their matches fire
 # mid-feed and the round-robin interleaving decides the MATCH order.
@@ -251,5 +276,5 @@ done
 if [ $FAILED -ne 0 ]; then
   exit 1
 fi
-echo "OK: kill-restore equivalence (1, 2 and 3 files), graceful drain and torn-snapshot fallback hold (seed $SEED)"
+echo "OK: kill-restore equivalence (1, 2 and 3 files), graceful drain, torn-snapshot fallback and format-version refusal hold (seed $SEED)"
 exit 0

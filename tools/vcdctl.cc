@@ -467,14 +467,13 @@ qos::QosConfig BuildQosConfig(const Args& a) {
   return qc;
 }
 
-/// Validates a restored snapshot against this invocation: detector
-/// parameters, the query db named on the command line, and the stream file
-/// list must all agree with the checkpointed run.
+/// Validates a restored snapshot against this invocation: the query db
+/// named on the command line and the stream file list must agree with the
+/// checkpointed run. (The executor's RestoreCkpt checks the detector
+/// parameters.)
 Status CheckRestoredState(const ckpt::SnapshotState& state,
-                          const core::DetectorConfig& config,
                           const core::QueryDb& positional_db,
                           const std::vector<DriverPos>& pos) {
-  VCD_RETURN_IF_ERROR(ckpt::CheckMeta(state, config));
   if (positional_db.k != state.k ||
       positional_db.hash_seed != state.hash_seed) {
     return Status::FailedPrecondition(
@@ -501,12 +500,12 @@ Status CheckRestoredState(const ckpt::SnapshotState& state,
 }
 
 /// Loads the restore snapshot and applies its driver positions to \p pos.
-Result<ckpt::SnapshotState> LoadRestoreState(
-    ckpt::Checkpointer* ckpt, const core::DetectorConfig& config,
-    const core::QueryDb& positional_db, std::vector<DriverPos>* pos) {
+Result<ckpt::SnapshotState> LoadRestoreState(ckpt::Checkpointer* ckpt,
+                                             const core::QueryDb& positional_db,
+                                             std::vector<DriverPos>* pos) {
   auto state = ckpt->LoadLatest();
   if (!state.ok()) return state.status();
-  VCD_RETURN_IF_ERROR(CheckRestoredState(*state, config, positional_db, *pos));
+  VCD_RETURN_IF_ERROR(CheckRestoredState(*state, positional_db, *pos));
   for (size_t i = 0; i < pos->size(); ++i) {
     (*pos)[i].frames_fed = state->driver[i].frames_fed;
     (*pos)[i].done = state->driver[i].done;
@@ -590,25 +589,16 @@ int RunMonitor(const Args& a, const core::DetectorConfig& config,
   }
 
   if (copt.restore) {
-    auto state = LoadRestoreState(ckptr.get(), config, db, &pos);
+    auto state = LoadRestoreState(ckptr.get(), db, &pos);
     if (!state.ok()) return Fail(state.status());
     auto embedded = core::DeserializeQueries(state->query_db.data(),
                                              state->query_db.size());
     if (!embedded.ok()) return Fail(embedded.status());
     if (Status st = (*exec)->ImportQueries(*embedded); !st.ok()) return Fail(st);
-    parallel::ExecutorCkpt ec;
-    ec.next_stream_id = state->next_stream_id;
-    ec.next_seq = state->next_seq;
-    ec.streams = std::move(state->streams);
-    ec.matches.reserve(state->matches.size());
-    for (const ckpt::SnapshotMatch& m : state->matches) {
-      ec.matches.push_back(parallel::SeqMatch{m.seq, m.match});
-    }
-    ec.qos = std::move(state->qos);
-    if (Status st = (*exec)->RestoreCkpt(ec); !st.ok()) return Fail(st);
+    if (Status st = (*exec)->RestoreCkpt(*state); !st.ok()) return Fail(st);
     std::printf("restored checkpoint epoch %llu (%zu streams, %zu matches)\n",
                 static_cast<unsigned long long>(state->epoch),
-                ec.streams.size(), ec.matches.size());
+                state->streams.size(), state->matches.size());
   } else {
     if (Status st = (*exec)->ImportQueries(db); !st.ok()) return Fail(st);
   }
@@ -622,25 +612,15 @@ int RunMonitor(const Args& a, const core::DetectorConfig& config,
   /// Quiesces the executor and commits one snapshot; failures are logged
   /// and counted, never fatal — a broken disk must not kill detection.
   const auto take_checkpoint = [&]() {
-    auto ec = (*exec)->Checkpoint();
-    if (!ec.ok()) {
+    auto state = (*exec)->Checkpoint();
+    if (!state.ok()) {
       std::fprintf(stderr, "warning: checkpoint barrier failed: %s\n",
-                   ec.status().ToString().c_str());
+                   state.status().ToString().c_str());
       return;
     }
-    ckpt::SnapshotState state;
-    ckpt::StampMeta(config, &state);
-    state.query_db = db_bytes;
-    state.next_stream_id = ec->next_stream_id;
-    state.next_seq = ec->next_seq;
-    state.streams = std::move(ec->streams);
-    state.matches.reserve(ec->matches.size());
-    for (const parallel::SeqMatch& m : ec->matches) {
-      state.matches.push_back(ckpt::SnapshotMatch{m.seq, m.match});
-    }
-    state.driver = ToDriverSection(pos);
-    state.qos = std::move(ec->qos);
-    if (Status st = ckptr->Save(state); !st.ok()) {
+    state->query_db = db_bytes;
+    state->driver = ToDriverSection(pos);
+    if (Status st = ckptr->Save(*state); !st.ok()) {
       std::fprintf(stderr, "warning: checkpoint save failed: %s\n",
                    st.ToString().c_str());
     }
