@@ -71,6 +71,15 @@ TEST(SequentialCandidatesTest, ExpiryDropsOldest) {
   seq.ForEach([](const Cand& c) { EXPECT_LE(c.num_windows, 3); });
 }
 
+TEST(SequentialCandidatesTest, RemoveIf) {
+  SequentialCandidates<Cand> seq;
+  for (int i = 0; i < 5; ++i) StepWindow(&seq, i, 10);
+  seq.RemoveIf([](const Cand& c) { return c.num_windows % 2 == 0; },
+               [](Cand&) {});
+  EXPECT_EQ(seq.size(), 3u);  // lengths 1, 3 and 5 survive
+  seq.ForEach([](const Cand& c) { EXPECT_EQ(c.num_windows % 2, 1); });
+}
+
 TEST(SequentialCandidatesTest, Clear) {
   SequentialCandidates<Cand> seq;
   StepWindow(&seq, 0, 5);
