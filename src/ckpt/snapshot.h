@@ -11,7 +11,7 @@
 /// Layout, all integers little-endian:
 ///
 ///   magic          4 bytes  'V' 'C' 'K' '1'
-///   format_version u32      2; every other version is refused
+///   format_version u32      3; every other version is refused
 ///   epoch          u64      monotonically increasing checkpoint epoch
 ///   section_count  u32
 ///   per section:
@@ -33,8 +33,8 @@ namespace vcd::ckpt {
 
 inline constexpr uint8_t kSnapshotMagic[4] = {'V', 'C', 'K', '1'};
 /// The only format version this build reads or writes (docs/FORMATS.md
-/// says what version 2 changed).
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// says what versions 2 and 3 changed).
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Section ids. Values are part of the on-disk format; never renumber.
 inline constexpr uint32_t kSectionMeta = 1;     ///< detector parameters

@@ -99,7 +99,6 @@ void EncodeDetector(const core::DetectorCkptState& d, ByteWriter* w) {
 
   w->U32(static_cast<uint32_t>(d.candidates.size()));
   for (const core::CkptCandidate& c : d.candidates) {
-    w->I32(c.ladder_level);
     w->I32(c.num_windows);
     w->I64(c.start_frame);
     w->I64(c.end_frame);
@@ -162,10 +161,9 @@ bool DecodeDetector(ByteReader* r, core::DetectorCkptState* d) {
   s.pool_slots_per_window = DecodeRaw(r);
 
   const uint32_t num_cands = r->U32();
-  if (!CountFits(*r, num_cands, 52)) return false;
+  if (!CountFits(*r, num_cands, 48)) return false;
   d->candidates.resize(num_cands);
   for (auto& c : d->candidates) {
-    c.ladder_level = r->I32();
     c.num_windows = r->I32();
     c.start_frame = r->I64();
     c.end_frame = r->I64();

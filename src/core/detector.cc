@@ -130,11 +130,10 @@ void CopyDetector::SizeFromPortfolio() {
   const size_t bound = static_cast<size_t>(max_windows + 1) * n;
   scratch_.handle_buf.reserve(bound);
   scratch_.eq_buf.reserve(bound);
-  // A Geometric merge union grows with a Lemma-2 prune that desyncs two
-  // blocks' query sets, and Sequential completions only when a window
-  // leaves a query out of R_L — events warmup may never see, so these
+  // A merge's adoptions and a window's completions depend on which queries
+  // a window leaves out of R_L — events warmup may never see, so these
   // buffers cannot rely on a high-water mark. One entry per query bounds
-  // the merge union and the window's completions.
+  // the merge's output list and the window's completions.
   scratch_.merge_sigs.reserve(n);
   scratch_.window_sig_set.reserve(n);
   scratch_.or_dst.reserve(n);
@@ -199,10 +198,8 @@ void CopyDetector::ResetStream() {
       stream::BasicWindowAssembler::Create(config_.window_seconds).value());
   const auto retire_bit = [&](BitCand& c) { RetireBit(&c); };
   const auto retire_sketch = [&](SketchCand& c) { RetireSketch(&c); };
-  seq_bit_.Clear(retire_bit);
-  seq_sketch_.Clear(retire_sketch);
-  geo_bit_.Clear(retire_bit);
-  geo_sketch_.Clear(retire_sketch);
+  bit_cands_.Clear(retire_bit);
+  sketch_cands_.Clear(retire_sketch);
   span_bound_ = portfolio_->global_max_windows();
   matches_.clear();
   stats_ = DetectorStats{};
@@ -253,6 +250,10 @@ void CopyDetector::InitBitCand(BitCand* c, const stream::BasicWindow& window,
   c->start_time = window.start_time;
   c->end_time = window.end_time;
   c->sigs.clear();
+  if (config_.order == CombinationOrder::kGeometric) {
+    c->sketch = sketch_pool_->Allocate();  // shell arrives retired (kInvalid)
+    sketch_pool_->Assign(c->sketch, wsk);
+  }
   const Portfolio& portfolio = *portfolio_;
   // R_L's size varies with content, so a warmup high-water mark does not
   // bound a shell's list; one entry per query does (DESIGN.md §11).
@@ -330,67 +331,52 @@ void CopyDetector::OrAndPrune(std::vector<SigRef>* sigs) {
   sigs->resize(out);
 }
 
-void CopyDetector::MergeGeoBit(BitCand& older, const BitCand& newer) {
+void CopyDetector::MergeBit(BitCand& older, const BitCand& fresh,
+                            const sketch::Sketch& wsk) {
   sketch::SignaturePool& pool = *sig_pool_;
-  // Union-merge into the scratch buffer: common ordinals are queued for one
-  // batched OR; newer-only entries are cloned (the newer candidate keeps
-  // ownership of its own slots and is retired by its container).
   std::vector<SigRef>& merged = scratch_.merge_sigs;
   std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
   std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
   merged.clear();
   dst.clear();
   src.clear();
-  size_t i = 0, j = 0;
-  while (i < older.sigs.size() || j < newer.sigs.size()) {
-    if (j >= newer.sigs.size() ||
-        (i < older.sigs.size() && older.sigs[i].q < newer.sigs[j].q)) {
-      merged.push_back(older.sigs[i++]);
-    } else if (i >= older.sigs.size() || newer.sigs[j].q < older.sigs[i].q) {
-      const SigRef& s = newer.sigs[j++];
-      merged.push_back(SigRef{s.q, pool.Clone(s.sig)});
-    } else {
-      dst.push_back(older.sigs[i].sig);
-      src.push_back(newer.sigs[j++].sig);
-      merged.push_back(older.sigs[i++]);
-    }
-  }
-  OrAndPrune(&merged);
-  older.sigs.swap(merged);
-  older.num_windows += newer.num_windows;
-  older.end_frame = newer.end_frame;
-  older.end_time = newer.end_time;
-}
-
-void CopyDetector::MergeSeqBit(BitCand& older, const BitCand& fresh,
-                               const sketch::Sketch& wsk) {
-  sketch::SignaturePool& pool = *sig_pool_;
-  std::vector<sketch::SignaturePool::Handle>& dst = scratch_.or_dst;
-  std::vector<sketch::SignaturePool::Handle>& src = scratch_.or_src;
-  dst.clear();
-  src.clear();
   const int num_windows = older.num_windows + fresh.num_windows;
   const int* caps = portfolio_->window_caps();
-  // A query only fresh tracks is not cloned: fresh keeps it, as the suffix
-  // that starts at this window.
-  size_t out = 0;
+  const bool adopts = older.sketch != sketch::SketchPool::kInvalidHandle;
+  if (adopts) {
+    sketch_pool_->CombineMin(older.sketch, fresh.sketch);
+    ++stats_.sketch_combines;
+  }
+  // A query only fresh holds: adopted with the signature of older's span,
+  // now including this window, unless Lemma 2 rules the span out. Without a
+  // sketch, fresh keeps it as the suffix that starts at this window.
+  const auto adopt = [&](int q) {
+    if (!adopts || num_windows > caps[q]) return;
+    const sketch::SignaturePool::Handle h = pool.Allocate();
+    pool.BuildFromSketches(h, sketch_pool_->mins(older.sketch),
+                           portfolio_->query(q).sketch);
+    if (pool.NumLess(h) > max_less_) {
+      pool.Free(h);
+      return;
+    }
+    merged.push_back(SigRef{q, h});
+  };
   size_t j = 0;
-  for (size_t i = 0; i < older.sigs.size(); ++i) {
-    const SigRef s = older.sigs[i];
+  for (const SigRef s : older.sigs) {
+    for (; j < fresh.sigs.size() && fresh.sigs[j].q < s.q; ++j) adopt(fresh.sigs[j].q);
     // caps[q] is 0 once unsubscribed: the test step's expiry, taken before
     // a completion would read a freed sketch.
     if (num_windows > caps[s.q]) {
       pool.Free(s.sig);
       continue;
     }
-    while (j < fresh.sigs.size() && fresh.sigs[j].q < s.q) ++j;
+    const bool both = j < fresh.sigs.size() && fresh.sigs[j].q == s.q;
     dst.push_back(s.sig);
-    src.push_back(j < fresh.sigs.size() && fresh.sigs[j].q == s.q
-                      ? fresh.sigs[j].sig
-                      : WindowSignature(s.q, wsk));
-    older.sigs[out++] = s;
+    src.push_back(both ? fresh.sigs[j++].sig : WindowSignature(s.q, wsk));
+    merged.push_back(s);
   }
-  older.sigs.resize(out);
+  for (; j < fresh.sigs.size(); ++j) adopt(fresh.sigs[j].q);
+  older.sigs.swap(merged);
   OrAndPrune(&older.sigs);
   older.num_windows = num_windows;
   older.end_frame = fresh.end_frame;
@@ -435,24 +421,32 @@ void CopyDetector::MergeSketch(SketchCand& older, const SketchCand& newer) {
   older.end_time = newer.end_time;
 }
 
-template <typename ForEachFn>
-void CopyDetector::TestBitCands(ForEachFn&& for_each) {
-  // One NumEqualBatch over the flattened handles of every candidate
-  // for_each visits — the SIMD backend evaluates 4–8 slots per vector pass
-  // and prefetches across candidate boundaries — then each candidate's
-  // walk in visit order.
+template <typename C, typename Fn>
+void CopyDetector::ForEachInTestOrder(stream::SequentialCandidates<C>& cands,
+                                      Fn&& fn) {
+  if (config_.order == CombinationOrder::kSequential) {
+    cands.ForEach(fn);
+  } else {
+    cands.ForEachNewestFirst(fn);
+  }
+}
+
+void CopyDetector::TestBitCands() {
+  // One NumEqualBatch over the flattened handles of every candidate — the
+  // SIMD backend evaluates 4–8 slots per vector pass and prefetches across
+  // candidate boundaries — then each candidate's walk in the same order.
   sketch::SignaturePool& pool = *sig_pool_;
   std::vector<sketch::SignaturePool::Handle>& hs = scratch_.handle_buf;
   std::vector<int>& eq = scratch_.eq_buf;
   hs.clear();
-  for_each([&](BitCand& c) {
+  ForEachInTestOrder(bit_cands_, [&](BitCand& c) {
     for (const SigRef& s : c.sigs) hs.push_back(s.sig);
   });
   eq.resize(hs.size());
   pool.NumEqualBatch(hs.data(), hs.size(), eq.data());
   const int* caps = portfolio_->window_caps();
   const int* c_eq = eq.data();
-  for_each([&](BitCand& c) {
+  ForEachInTestOrder(bit_cands_, [&](BitCand& c) {
     const size_t n = c.sigs.size();
     size_t out = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -474,7 +468,7 @@ void CopyDetector::TestBitCands(ForEachFn&& for_each) {
   });
 }
 
-bool CopyDetector::TestSketchCand(SketchCand& c) {
+void CopyDetector::TestSketchCand(SketchCand& c) {
   const Portfolio& portfolio = *portfolio_;
   auto test_one = [&](int q_ord) {
     const Portfolio::QueryRec& q = portfolio.query(q_ord);
@@ -491,35 +485,15 @@ bool CopyDetector::TestSketchCand(SketchCand& c) {
   } else {
     for (int q = 0; q < portfolio.num_ordinals(); ++q) test_one(q);
   }
-  return true;
-}
-
-void CopyDetector::AssignBit(BitCand* dst, const BitCand& src) {
-  dst->num_windows = src.num_windows;
-  dst->start_frame = src.start_frame;
-  dst->end_frame = src.end_frame;
-  dst->start_time = src.start_time;
-  dst->end_time = src.end_time;
-  dst->sigs.clear();
-  for (const SigRef& s : src.sigs) {
-    dst->sigs.push_back(SigRef{s.q, sig_pool_->Clone(s.sig)});
-  }
-}
-
-void CopyDetector::AssignSketch(SketchCand* dst, const SketchCand& src) {
-  dst->num_windows = src.num_windows;
-  dst->start_frame = src.start_frame;
-  dst->end_frame = src.end_frame;
-  dst->start_time = src.start_time;
-  dst->end_time = src.end_time;
-  dst->sketch = sketch_pool_->Allocate();  // shell arrives retired
-  sketch_pool_->Copy(dst->sketch, src.sketch);
-  dst->related.assign(src.related.begin(), src.related.end());
 }
 
 void CopyDetector::RetireBit(BitCand* c) {
   for (const SigRef& s : c->sigs) sig_pool_->Free(s.sig);
   c->sigs.clear();
+  if (c->sketch != sketch::SketchPool::kInvalidHandle) {
+    sketch_pool_->Free(c->sketch);
+    c->sketch = sketch::SketchPool::kInvalidHandle;
+  }
 }
 
 void CopyDetector::RetireSketch(SketchCand* c) {
@@ -560,84 +534,53 @@ void CopyDetector::ProcessWindow(const stream::BasicWindow& window) {
 }
 
 void CopyDetector::CombineAndTest(const stream::BasicWindow& window) {
-  // Stage spans are per *window*, not per merge — the combine span covers
-  // the whole Step; the test span covers the full candidate sweep (in the
-  // geometric order that sweep interleaves suffix merges with tests, so
-  // its combine share lands in the test span — documented in DESIGN.md §13).
+  // Stage spans are per *window*, not per merge: the combine span covers
+  // the whole Step, the test span the sweep over the live candidates, in
+  // either order.
   {
     VCD_OBS_SPAN(metrics_.sketch_build_ns);
     sketcher_.FromSequenceInto(window.ids, &scratch_.window_sketch);
   }
   const sketch::Sketch& wsk = scratch_.window_sketch;
-  const bool bit = config_.representation == Representation::kBit;
-  const bool seq = config_.order == CombinationOrder::kSequential;
   const int max_windows = portfolio_->global_max_windows();
-  if (bit) {
-    const auto init = [&](BitCand& c) { InitBitCand(&c, window, wsk); };
-    const auto merge = [&](BitCand& older, const BitCand& newer) {
-      MergeGeoBit(older, newer);
-    };
+  // Geometric order keeps a candidate only while its length is a block
+  // boundary of the binary counter over the combined windows, this one
+  // included (DESIGN.md §6); Sequential order keeps every length.
+  const bool seq = config_.order == CombinationOrder::kSequential;
+  const int64_t combined =
+      stats_.windows - stats_.degraded_windows - stats_.qos_skipped_windows;
+  const auto keep = [&](int length) {
+    return seq || stream::IsCounterBoundary(combined, length);
+  };
+  if (config_.representation == Representation::kBit) {
     const auto retire = [&](BitCand& c) { RetireBit(&c); };
-    if (seq) {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        seq_bit_.Step(
-            max_windows, init,
-            [&](BitCand& older, const BitCand& fresh) {
-              MergeSeqBit(older, fresh, wsk);
-            },
-            retire);
-        ReleaseWindowSignatures();
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      TestBitCands([&](const auto& fn) { seq_bit_.ForEach(fn); });
-      seq_bit_.RemoveIf([](const BitCand& c) { return c.sigs.empty(); },
-                        retire);
-    } else {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        geo_bit_.Step(max_windows, init, merge, retire);
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      geo_bit_.VisitSuffixesInto(
-          max_windows, &scratch_.bit_cum, &scratch_.bit_tmp,
-          [&](BitCand& dst, const BitCand& src) {
-            AssignBit(&dst, src);
-          },
-          merge,
-          [&](BitCand& c) { TestBitCands([&](const auto& fn) { fn(c); }); },
+    {
+      VCD_OBS_SPAN(metrics_.combine_ns);
+      bit_cands_.Step(
+          max_windows, keep, [&](BitCand& c) { InitBitCand(&c, window, wsk); },
+          [&](BitCand& older, const BitCand& fresh) { MergeBit(older, fresh, wsk); },
           retire);
-      // Blocks are kept even when all their signatures prune away: their
-      // window spans still participate in suffix-length accounting.
+      ReleaseWindowSignatures();
     }
+    VCD_OBS_SPAN(metrics_.test_ns);
+    TestBitCands();
+    // A candidate left without signatures can match nothing again, unless
+    // it holds a sketch to adopt queries from later windows.
+    bit_cands_.RemoveIf(
+        [](const BitCand& c) {
+          return c.sigs.empty() && c.sketch == sketch::SketchPool::kInvalidHandle;
+        },
+        retire);
   } else {
-    const auto init = [&](SketchCand& c) {
-      InitSketchCand(&c, window, wsk);
-    };
-    const auto merge = [&](SketchCand& older, const SketchCand& newer) {
-      MergeSketch(older, newer);
-    };
-    const auto retire = [&](SketchCand& c) { RetireSketch(&c); };
-    if (seq) {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        seq_sketch_.Step(max_windows, init, merge, retire);
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      seq_sketch_.ForEach([&](SketchCand& c) { TestSketchCand(c); });
-    } else {
-      {
-        VCD_OBS_SPAN(metrics_.combine_ns);
-        geo_sketch_.Step(max_windows, init, merge, retire);
-      }
-      VCD_OBS_SPAN(metrics_.test_ns);
-      geo_sketch_.VisitSuffixesInto(
-          max_windows, &scratch_.sketch_cum, &scratch_.sketch_tmp,
-          [&](SketchCand& dst, const SketchCand& src) {
-            AssignSketch(&dst, src);
-          },
-          merge, [&](SketchCand& c) { TestSketchCand(c); }, retire);
+    {
+      VCD_OBS_SPAN(metrics_.combine_ns);
+      sketch_cands_.Step(
+          max_windows, keep, [&](SketchCand& c) { InitSketchCand(&c, window, wsk); },
+          [&](SketchCand& older, const SketchCand& fresh) { MergeSketch(older, fresh); },
+          [&](SketchCand& c) { RetireSketch(&c); });
     }
+    VCD_OBS_SPAN(metrics_.test_ns);
+    ForEachInTestOrder(sketch_cands_, [&](SketchCand& c) { TestSketchCand(c); });
   }
 }
 
@@ -646,7 +589,6 @@ void CopyDetector::RecordWindowStats() {
   int64_t cand_count = 0;
   int longest = 0;
   const bool bit = config_.representation == Representation::kBit;
-  const bool seq = config_.order == CombinationOrder::kSequential;
   const auto count_bit = [&](const auto& c) {
     sig_count += static_cast<int64_t>(c.sigs.size());
     ++cand_count;
@@ -661,21 +603,18 @@ void CopyDetector::RecordWindowStats() {
     ++cand_count;
     longest = std::max(longest, c.num_windows);
   };
-  if (bit && seq) {
-    seq_bit_.ForEach(count_bit);
-  } else if (bit) {
-    geo_bit_.ForEach(count_bit);
-  } else if (seq) {
-    seq_sketch_.ForEach(count_sketch);
+  if (bit) {
+    bit_cands_.ForEach(count_bit);
   } else {
-    geo_sketch_.ForEach(count_sketch);
+    sketch_cands_.ForEach(count_sketch);
   }
   stats_.signatures_per_window.Add(static_cast<double>(sig_count));
   stats_.candidates_per_window.Add(static_cast<double>(cand_count));
   last_cand_count_ = cand_count;
   const int max_windows = portfolio_->global_max_windows();
   if (longest <= max_windows) span_bound_ = max_windows;
-  const size_t slots = bit ? sig_pool_->live_count() : sketch_pool_->live_count();
+  // A Geometric Bit candidate holds slots in both pools.
+  const size_t slots = sig_pool_->live_count() + sketch_pool_->live_count();
   stats_.pool_slots_per_window.Add(static_cast<double>(slots));
 }
 
@@ -717,8 +656,9 @@ void CopyDetector::PublishWindowMetrics() {
       delta(static_cast<int64_t>(matches_.size()), &published_.matches));
   // Candidate churn: every combined window admits exactly one fresh
   // candidate; whatever the census lost beyond that retired (expired at
-  // λL, pruned empty, or absorbed by a merge). Degraded and QoS-skipped
-  // windows admit nothing — combination never ran.
+  // λL, pruned empty, or, in Geometric order, off a counter boundary, the
+  // fresh one included). Degraded and QoS-skipped windows admit nothing —
+  // combination never ran.
   const int64_t admitted = (degraded > 0 || qos_skipped > 0) ? 0 : 1;
   metrics_.candidates_admitted_total->Inc(admitted);
   const int64_t expired =
@@ -730,11 +670,25 @@ void CopyDetector::PublishWindowMetrics() {
 Status CopyDetector::ValidateState() const {
   VCD_RETURN_IF_ERROR(portfolio_->ValidateState());
   const int num_ordinals = portfolio_->num_ordinals();
+  const bool seq = config_.order == CombinationOrder::kSequential;
+  const int64_t combined =
+      stats_.windows - stats_.degraded_windows - stats_.qos_skipped_windows;
+  int prev_windows = std::numeric_limits<int>::max();
   const auto check_span = [&](int num_windows) -> Status {
     if (num_windows < 1 || num_windows > span_bound_) {
       return Status::Internal("candidate num_windows " + std::to_string(num_windows) +
                               " outside [1, " + std::to_string(span_bound_) +
                               "] (λL expiry bound)");
+    }
+    if (num_windows >= prev_windows) {
+      return Status::Internal("candidate lengths not strictly decreasing from "
+                              "the oldest candidate to the newest");
+    }
+    prev_windows = num_windows;
+    if (!seq && !stream::IsCounterBoundary(combined, num_windows)) {
+      return Status::Internal("Geometric candidate of " + std::to_string(num_windows) +
+                              " windows is not a block boundary of the counter at " +
+                              std::to_string(combined) + " combined windows");
     }
     return Status::OK();
   };
@@ -753,8 +707,20 @@ Status CopyDetector::ValidateState() const {
   // slots (no leaked and no doubly-owned handles).
   size_t bit_handles = 0;
   size_t sketch_handles = 0;
+  const auto check_sketch_slot = [&](sketch::SketchPool::Handle h) -> Status {
+    if (!sketch_pool_->IsLive(h)) {
+      return Status::Internal("candidate references a dead sketch slot");
+    }
+    ++sketch_handles;
+    return Status::OK();
+  };
   const auto check_bit = [&](const BitCand& c) -> Status {
     VCD_RETURN_IF_ERROR(check_span(c.num_windows));
+    if ((c.sketch != sketch::SketchPool::kInvalidHandle) == seq) {
+      return Status::Internal(seq ? "Sequential Bit candidate holds a sketch slot"
+                                  : "Geometric Bit candidate holds no sketch slot");
+    }
+    if (!seq) VCD_RETURN_IF_ERROR(check_sketch_slot(c.sketch));
     int prev_q = -1;
     for (const SigRef& s : c.sigs) {
       VCD_RETURN_IF_ERROR(check_ordinals(s.q, prev_q));
@@ -776,10 +742,7 @@ Status CopyDetector::ValidateState() const {
   };
   const auto check_sketch = [&](const SketchCand& c) -> Status {
     VCD_RETURN_IF_ERROR(check_span(c.num_windows));
-    if (!sketch_pool_->IsLive(c.sketch)) {
-      return Status::Internal("candidate references a dead sketch slot");
-    }
-    ++sketch_handles;
+    VCD_RETURN_IF_ERROR(check_sketch_slot(c.sketch));
     int prev_q = -1;
     for (int q : c.related) {
       if (q < 0 || q >= num_ordinals) {
@@ -794,17 +757,12 @@ Status CopyDetector::ValidateState() const {
     return Status::OK();
   };
 
-  for (size_t i = 0; i < seq_bit_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_bit(seq_bit_.at(i)));
+  // Only the configured representation's list holds candidates.
+  for (size_t i = 0; i < bit_cands_.size(); ++i) {
+    VCD_RETURN_IF_ERROR(check_bit(bit_cands_.at(i)));
   }
-  for (const auto& slot : geo_bit_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_bit(*slot));
-  }
-  for (size_t i = 0; i < seq_sketch_.size(); ++i) {
-    VCD_RETURN_IF_ERROR(check_sketch(seq_sketch_.at(i)));
-  }
-  for (const auto& slot : geo_sketch_.ladder()) {
-    if (slot.has_value()) VCD_RETURN_IF_ERROR(check_sketch(*slot));
+  for (size_t i = 0; i < sketch_cands_.size(); ++i) {
+    VCD_RETURN_IF_ERROR(check_sketch(sketch_cands_.at(i)));
   }
   if (!scratch_.window_sig_set.empty()) {
     return Status::Internal("completion signatures outlived their window");
@@ -848,9 +806,8 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
   }
   st.stats = stats_;
 
-  const auto base_of = [](const auto& c, int32_t level) {
+  const auto base_of = [](const auto& c) {
     CkptCandidate out;
-    out.ladder_level = level;
     out.num_windows = c.num_windows;
     out.start_frame = c.start_frame;
     out.end_frame = c.end_frame;
@@ -862,43 +819,27 @@ DetectorCkptState CopyDetector::ExportCkptState() const {
     const BitVector& bits = sig.bits();
     return std::vector<uint64_t>(bits.words(), bits.words() + bits.num_words());
   };
-  const auto export_bit = [&](const BitCand& c, int32_t level) {
-    CkptCandidate out = base_of(c, level);
+  const auto mins_of = [&](sketch::SketchPool::Handle h) {
+    return sketch_pool_->ToSketch(h).mins;
+  };
+  bit_cands_.ForEach([&](const BitCand& c) {
+    CkptCandidate out = base_of(c);
     for (const SigRef& s : c.sigs) {
       out.sigs.push_back(CkptCandidate::Sig{
           portfolio_->query(s.q).id,
           words_of(sig_pool_->ToBitSignature(s.sig))});
     }
+    if (c.sketch != sketch::SketchPool::kInvalidHandle) out.mins = mins_of(c.sketch);
     st.candidates.push_back(std::move(out));
-  };
-  const auto export_sketch = [&](const SketchCand& c, int32_t level) {
-    CkptCandidate out = base_of(c, level);
-    out.mins = sketch_pool_->ToSketch(c.sketch).mins;
+  });
+  sketch_cands_.ForEach([&](const SketchCand& c) {
+    CkptCandidate out = base_of(c);
+    out.mins = mins_of(c.sketch);
     for (int q : c.related) {
       out.related_ids.push_back(portfolio_->query(q).id);
     }
     st.candidates.push_back(std::move(out));
-  };
-  const auto export_ladder = [&](const auto& geo, const auto& fn) {
-    const auto& ladder = geo.ladder();
-    for (size_t lv = 0; lv < ladder.size(); ++lv) {
-      if (ladder[lv].has_value()) fn(*ladder[lv], static_cast<int32_t>(lv));
-    }
-  };
-
-  const bool bit = config_.representation == Representation::kBit;
-  const bool seq = config_.order == CombinationOrder::kSequential;
-  if (bit && seq) {
-    for (size_t i = 0; i < seq_bit_.size(); ++i) export_bit(seq_bit_.at(i), -1);
-  } else if (bit) {
-    export_ladder(geo_bit_, export_bit);
-  } else if (seq) {
-    for (size_t i = 0; i < seq_sketch_.size(); ++i) {
-      export_sketch(seq_sketch_.at(i), -1);
-    }
-  } else {
-    export_ladder(geo_sketch_, export_sketch);
-  }
+  });
   return st;
 }
 
@@ -923,32 +864,31 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
   stats_ = st.stats;
 
   const bool bit = config_.representation == Representation::kBit;
-  const bool seq = config_.order == CombinationOrder::kSequential;
   // Signatures are 2K bits (two relation bits per hash position, §V-A).
   const size_t sig_words = (2 * static_cast<size_t>(config_.K) + 63) / 64;
-  int32_t prev_level = -1;
+  const auto check_mins = [&](const std::vector<uint64_t>& mins) -> Status {
+    if (mins.size() != static_cast<size_t>(config_.K)) {
+      return Status::Corruption("snapshot sketch has " + std::to_string(mins.size()) +
+                                " mins, expected K=" + std::to_string(config_.K));
+    }
+    return Status::OK();
+  };
+  const auto restore_sketch = [&](const std::vector<uint64_t>& mins) {
+    const sketch::SketchPool::Handle h = sketch_pool_->Allocate();
+    std::copy(mins.begin(), mins.end(), sketch_pool_->mins(h));
+    return h;
+  };
   int64_t restored = 0;
   // The snapshot does not record the bound its candidates were built under;
   // a candidate longer than today's bound outlived a RemoveQuery (see
-  // span_bound_), so the restored bound covers it.
+  // span_bound_), so the restored bound covers it. Which lengths the
+  // combination order allows, and whether a Bit candidate must hold a
+  // sketch, ValidateState checks at the end.
   span_bound_ = portfolio_->global_max_windows();
   for (const CkptCandidate& c : st.candidates) {
     span_bound_ = std::max(span_bound_, c.num_windows);
-    if (seq != (c.ladder_level < 0)) {
-      return Status::Corruption(
-          "snapshot candidate order does not match the configured "
-          "combination order");
-    }
-    if (!seq) {
-      if (c.ladder_level <= prev_level) {
-        return Status::Corruption("snapshot ladder levels not ascending");
-      }
-      prev_level = c.ladder_level;
-    }
     if (bit) {
-      if (!c.mins.empty()) {
-        return Status::Corruption("bit-representation snapshot carries sketch mins");
-      }
+      if (!c.mins.empty()) VCD_RETURN_IF_ERROR(check_mins(c.mins));
       for (const CkptCandidate::Sig& s : c.sigs) {
         if (s.words.size() != sig_words) {
           return Status::Corruption(
@@ -971,25 +911,14 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
         }
         out.sigs.push_back(SigRef{q, h});
       }
-      if (seq) {
-        seq_bit_.RestoreBack(std::move(out));
-      } else {
-        auto& ladder = geo_bit_.ladder();
-        if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-          ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-        }
-        ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
-      }
+      if (!c.mins.empty()) out.sketch = restore_sketch(c.mins);
+      bit_cands_.RestoreBack(std::move(out));
     } else {
       if (!c.sigs.empty()) {
         return Status::Corruption(
             "sketch-representation snapshot carries bit signatures");
       }
-      if (c.mins.size() != static_cast<size_t>(config_.K)) {
-        return Status::Corruption(
-            "snapshot sketch has " + std::to_string(c.mins.size()) +
-            " mins, expected K=" + std::to_string(config_.K));
-      }
+      VCD_RETURN_IF_ERROR(check_mins(c.mins));
       std::vector<int> related;
       for (int id : c.related_ids) {
         const int q = portfolio_->OrdinalOf(id);
@@ -1002,20 +931,9 @@ Status CopyDetector::RestoreCkptState(const DetectorCkptState& st) {
       out.end_frame = c.end_frame;
       out.start_time = c.start_time;
       out.end_time = c.end_time;
-      sketch::Sketch sk;  // NOLINT(vcd-pooled-hotpath): restore, cold
-      sk.mins = c.mins;
-      out.sketch = sketch_pool_->Allocate();
-      sketch_pool_->Assign(out.sketch, sk);
+      out.sketch = restore_sketch(c.mins);
       out.related = std::move(related);
-      if (seq) {
-        seq_sketch_.RestoreBack(std::move(out));
-      } else {
-        auto& ladder = geo_sketch_.ladder();
-        if (ladder.size() <= static_cast<size_t>(c.ladder_level)) {
-          ladder.resize(static_cast<size_t>(c.ladder_level) + 1);
-        }
-        ladder[static_cast<size_t>(c.ladder_level)] = std::move(out);
-      }
+      sketch_cands_.RestoreBack(std::move(out));
     }
     ++restored;
   }

@@ -57,13 +57,11 @@ struct DetectorStats {
 /// \brief One candidate sequence materialized for checkpoint/restore.
 ///
 /// The representation is config-agnostic: bit candidates carry their raw
-/// signature words, sketch candidates their min-hash arrays, and query
-/// references are *external* query ids (not ordinals), so a snapshot taken
-/// under one kernel ISA restores onto any other with the same detector
-/// parameters.
+/// signature words (and, in Geometric order, their span's min-hash array),
+/// sketch candidates their min-hash arrays, and query references are
+/// *external* query ids (not ordinals), so a snapshot taken under one
+/// kernel ISA restores onto any other with the same detector parameters.
 struct CkptCandidate {
-  /// Geometric ladder slot index; -1 for sequential-order candidates.
-  int32_t ladder_level = -1;
   int num_windows = 0;
   int64_t start_frame = 0, end_frame = 0;
   double start_time = 0.0, end_time = 0.0;
@@ -73,7 +71,9 @@ struct CkptCandidate {
     std::vector<uint64_t> words;  ///< BitVector layout, ⌈2K/64⌉ words
   };
   std::vector<Sig> sigs;         ///< sorted by query ordinal at export
-  std::vector<uint64_t> mins;    ///< sketch representation: K min-hash values
+  /// K min-hash values of the span: every Sketch candidate and every
+  /// Geometric Bit candidate; empty for a Sequential Bit candidate.
+  std::vector<uint64_t> mins;
   std::vector<int> related_ids;  ///< sketch+index: related query ids
 };
 
@@ -95,7 +95,7 @@ struct DetectorCkptState {
   };
   std::vector<QueryState> queries;
   DetectorStats stats;
-  /// Sequential order: oldest-first. Geometric order: ascending ladder_level.
+  /// Oldest (longest) first, in either combination order.
   std::vector<CkptCandidate> candidates;
 };
 
@@ -241,11 +241,14 @@ class CopyDetector {
 
   /// \brief Debug validator over all live candidate state.
   ///
-  /// Checks, for every candidate in whichever combination structure is
-  /// active: `1 ≤ num_windows ≤ ⌈λ·L_max/w⌉`, the expiry bound the live
-  /// candidates were built under (expired candidates must not survive a
-  /// Step; see span_bound_ for blocks that outlive a RemoveQuery which
-  /// lowered the bound), signature lists strictly
+  /// Checks, for every live candidate: `1 ≤ num_windows ≤ ⌈λ·L_max/w⌉`,
+  /// the expiry bound the live candidates were built under (expired
+  /// candidates must not survive a Step; see span_bound_ for candidates
+  /// that outlive a RemoveQuery which lowered the bound), lengths strictly
+  /// decreasing from the oldest candidate to the newest, in Geometric order
+  /// every length a block boundary of the counter over the combined windows
+  /// (stream::IsCounterBoundary), a sketch slot on a Bit candidate exactly
+  /// when the order is Geometric, signature lists strictly
   /// sorted by query ordinal with in-range ordinals, related-query lists
   /// strictly sorted, and every bit signature well-formed with K matching
   /// the config (BitSignature::Validate) and within Lemma 2's bound (with
@@ -288,12 +291,16 @@ class CopyDetector {
   };
 
   /// Bit-representation candidate: all signature bits live in sig_pool_;
-  /// the candidate holds only slot handles.
+  /// the candidate holds only slot handles. In Geometric order it also
+  /// holds its span's sketch, from which it adopts a query a later window
+  /// relates to (MergeBit).
   struct BitCand {
     int num_windows = 0;
     int64_t start_frame = 0, end_frame = 0;
     double start_time = 0.0, end_time = 0.0;
     std::vector<SigRef> sigs;  ///< sorted by q
+    /// sketch_pool_ slot; kInvalidHandle in Sequential order.
+    sketch::SketchPool::Handle sketch = sketch::SketchPool::kInvalidHandle;
   };
 
   /// Sketch-representation candidate: the min-hash array lives in
@@ -315,9 +322,9 @@ class CopyDetector {
     sketch::Sketch window_sketch;      ///< FromSequenceInto target
     std::vector<uint64_t> related_seen;  ///< index probe dedup bitmap
     std::vector<int> related;            ///< index probe output: R_L ordinals
-    std::vector<SigRef> merge_sigs;    ///< MergeGeoBit union buffer
-    /// Sequential Bit: per query ordinal, the current window's completion
-    /// signature (built on demand by WindowSignature) or kInvalidHandle.
+    std::vector<SigRef> merge_sigs;    ///< MergeBit output list
+    /// Per query ordinal, the current window's completion signature (built
+    /// on demand by WindowSignature) or kInvalidHandle.
     /// Every entry is kInvalidHandle between windows.
     std::vector<sketch::SignaturePool::Handle> window_sig;
     std::vector<int> window_sig_set;  ///< ordinals whose window_sig is set
@@ -327,8 +334,6 @@ class CopyDetector {
     std::vector<sketch::SignaturePool::Handle> handle_buf;  ///< TestBitCands
     std::vector<int> eq_buf;                 ///< NumEqualBatch output
     std::vector<int> merge_related;          ///< related-set union buffer
-    BitCand bit_cum, bit_tmp;          ///< geometric suffix shells
-    SketchCand sketch_cum, sketch_tmp;
   };
 
   CopyDetector(const DetectorConfig& config, features::FrameFingerprinter fp,
@@ -347,7 +352,8 @@ class CopyDetector {
   void CombineAndTest(const stream::BasicWindow& window);
 
   /// Fills recycled shell \p c with the fresh single-window Bit candidate
-  /// (signatures allocated from sig_pool_).
+  /// (signatures allocated from sig_pool_; in Geometric order also the
+  /// window sketch, in a sketch_pool_ slot).
   void InitBitCand(BitCand* c, const stream::BasicWindow& window,
                    const sketch::Sketch& wsk);
   /// Fills recycled shell \p c with the fresh single-window Sketch
@@ -360,21 +366,18 @@ class CopyDetector {
   /// max_less_. The one place a live signature's bits change after its
   /// build, so the one place Lemma 2 is checked after it.
   void OrAndPrune(std::vector<SigRef>* sigs);
-  /// Merges Geometric block \p newer into \p older (Bit representation):
-  /// the union of their signature lists, common queries OR'd and a query
-  /// only \p newer tracks cloned in, then OrAndPrune. A query one block
-  /// lacks contributes no bits for that block's windows, so the merged
-  /// signature covers only part of the span (DESIGN.md §6).
-  void MergeGeoBit(BitCand& older, const BitCand& newer);
-  /// Sequential order's merge of the \p fresh one-window candidate (window
-  /// sketch \p wsk) into \p older (DESIGN.md §6): \p older keeps exactly
-  /// the queries it tracks, and each entry is OR'd with this window's
-  /// signature for its query — \p fresh's, or a completion built by
-  /// WindowSignature — so it stays the exact OR over every absorbed window.
-  /// Entries past their query's λL cap (removed queries included) are
-  /// dropped; OrAndPrune runs over the rest.
-  void MergeSeqBit(BitCand& older, const BitCand& fresh,
-                   const sketch::Sketch& wsk);
+  /// The Bit merge of both orders (DESIGN.md §6): merges the \p fresh
+  /// one-window candidate (window sketch \p wsk) into \p older. Each entry
+  /// of \p older is OR'd with this window's signature for its query —
+  /// \p fresh's, or a completion built by WindowSignature — so it stays the
+  /// exact OR over every absorbed window. Entries past their query's λL cap
+  /// (removed queries included) are dropped; OrAndPrune runs over the rest.
+  /// A query only \p fresh holds is adopted only by a candidate with a
+  /// sketch (Geometric order), with a signature built from that sketch once
+  /// the window is combined into it, and kept if it satisfies Lemma 2; in
+  /// Sequential order \p fresh keeps it, as the suffix that starts at this
+  /// window.
+  void MergeBit(BitCand& older, const BitCand& fresh, const sketch::Sketch& wsk);
   /// The current window's signature for query ordinal \p q when the fresh
   /// candidate holds none (the index left \p q out of R_L, or Lemma 2
   /// pruned it at the probe): a completion built from \p wsk and the query
@@ -385,21 +388,21 @@ class CopyDetector {
   /// Merges \p newer into \p older (Sketch representation) with the
   /// strided CombineMin kernel.
   void MergeSketch(SketchCand& older, const SketchCand& newer);
-  /// Tests the Bit candidates `for_each(fn)` calls fn on (every Sequential
-  /// candidate, or one Geometric suffix) with one NumEqualBatch over all
-  /// their signatures: drops entries past their query's λL cap (removed
-  /// queries included) and emits a match for every other entry at
-  /// similarity ≥ δ. Lemma 2 needs no recheck here: no live signature
-  /// breaks it (ValidateState).
-  template <typename ForEachFn>
-  void TestBitCands(ForEachFn&& for_each);
+  /// Calls \p fn on every live candidate of \p cands in test order: oldest
+  /// first in Sequential order, newest (shortest) first in Geometric order,
+  /// as Fig. 2's suffix sweep visits them. The order decides which of two
+  /// suffixes that match in one window the report cooldown lets through.
+  template <typename C, typename Fn>
+  void ForEachInTestOrder(stream::SequentialCandidates<C>& cands, Fn&& fn);
+  /// Tests every Bit candidate with one NumEqualBatch over all their
+  /// signatures: drops entries past their query's λL cap (removed queries
+  /// included) and emits a match for every other entry at similarity ≥ δ.
+  /// Lemma 2 needs no recheck here: no live signature breaks it
+  /// (ValidateState).
+  void TestBitCands();
   /// Tests a Sketch candidate (a sketch_pool_ slot) against its related
   /// queries and emits matches.
-  bool TestSketchCand(SketchCand& c);
-  /// Clones candidate \p src into retired shell \p dst (fresh pool
-  /// slots; used by the geometric suffix sweep).
-  void AssignBit(BitCand* dst, const BitCand& src);
-  void AssignSketch(SketchCand* dst, const SketchCand& src);
+  void TestSketchCand(SketchCand& c);
   /// Releases a candidate's arena slots back to the pools and clears
   /// its lists (the container parks the shell for reuse afterwards).
   void RetireBit(BitCand* c);
@@ -454,11 +457,8 @@ class CopyDetector {
   /// The λL bound ValidateState checks candidate spans against: the largest
   /// portfolio bound (Portfolio::global_max_windows) any live candidate was
   /// built under. It exceeds that bound only after a RemoveQuery lowered it.
-  /// Then Sequential order holds longer candidates until its next Step
-  /// expires them. Geometric order keeps longer ladder blocks, which it
-  /// never tests again; one leaves the ladder when a carry reaches its level
-  /// (the merged carry is too long and is retired) or the stream resets.
-  /// Once no live candidate is longer than the bound, it drops back.
+  /// Then either order holds longer candidates until its next Step expires
+  /// them. Once no live candidate is longer than the bound, it drops back.
   int span_bound_ = 1;
   /// Clock-skew guard: the highest timestamp seen on the stream. Frames
   /// arriving behind it are demoted to degraded (their fingerprint would
@@ -466,11 +466,10 @@ class CopyDetector {
   double max_timestamp_ = 0.0;
   bool saw_frame_ = false;
 
-  // Combination structures and their arenas.
-  stream::SequentialCandidates<BitCand> seq_bit_;
-  stream::SequentialCandidates<SketchCand> seq_sketch_;
-  stream::GeometricCandidates<BitCand> geo_bit_;
-  stream::GeometricCandidates<SketchCand> geo_sketch_;
+  // The candidate list of the configured representation, in either order,
+  // and the arenas.
+  stream::SequentialCandidates<BitCand> bit_cands_;
+  stream::SequentialCandidates<SketchCand> sketch_cands_;
   std::optional<sketch::SignaturePool> sig_pool_;
   std::optional<sketch::SketchPool> sketch_pool_;
   WindowScratch scratch_;

@@ -70,7 +70,7 @@ DetectorMetrics DetectorMetrics::Create(MetricsRegistry* registry) {
   m.combine_ns = registry->RegisterHistogram(
       "vcd_window_combine_ns", "OR-combine / sketch-combine step");
   m.test_ns = registry->RegisterHistogram(
-      "vcd_window_test_ns", "Prune scan and similarity tests");
+      "vcd_window_test_ns", "Similarity tests of the live candidates");
   return m;
 }
 
@@ -112,7 +112,7 @@ ShardMetrics ShardMetrics::Create(MetricsRegistry* registry, int shard_id) {
       "vcd_shard_frames_processed_total", "Frames processed cleanly", labels);
   m.frames_rejected_total = registry->RegisterCounter(
       "vcd_shard_frames_rejected_total",
-      "Frames rejected by the detector (corrupt or out of order)", labels);
+      "Frames for a stream that is closed or was never opened", labels);
   m.frames_degraded_total = registry->RegisterCounter(
       "vcd_shard_frames_degraded_total", "Degraded frames processed", labels);
   m.frames_quarantined_total = registry->RegisterCounter(

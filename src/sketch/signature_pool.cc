@@ -48,21 +48,18 @@ void SignaturePool::Free(Handle h) {
   free_.push_back(h);
 }
 
-SignaturePool::Handle SignaturePool::Clone(Handle src) {
-  VCD_DCHECK(IsLive(src), "SignaturePool::Clone of a non-live handle");
-  const Handle h = Allocate();
-  // Allocate never moves slot contents for an existing handle, but it may
-  // reallocate the slab itself — only address the slab after it.
-  for (size_t w = 0; w < stride_; ++w) word(h, w) = word(src, w);
-  return h;
-}
-
 void SignaturePool::BuildFromSketches(Handle h, const Sketch& cand,
                                       const Sketch& query) {
-  VCD_DCHECK(cand.K() == k_ && query.K() == k_, "sketch K mismatch");
+  VCD_DCHECK(cand.K() == k_, "sketch K mismatch");
+  BuildFromSketches(h, cand.mins.data(), query);
+}
+
+void SignaturePool::BuildFromSketches(Handle h, const uint64_t* cand,
+                                      const Sketch& query) {
+  VCD_DCHECK(query.K() == k_, "sketch K mismatch");
   kernels::Counters().build_calls.fetch_add(1, std::memory_order_relaxed);
-  ops_->sig_build(slab_.data() + kernels::WordIndex(stride_, h, 0),
-                  cand.mins.data(), query.mins.data(), k_);
+  ops_->sig_build(slab_.data() + kernels::WordIndex(stride_, h, 0), cand,
+                  query.mins.data(), k_);
 }
 
 int SignaturePool::NumEqual(Handle h) const {

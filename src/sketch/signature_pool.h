@@ -82,9 +82,6 @@ class SignaturePool {
   /// handles are unaffected.
   void Free(Handle h);
 
-  /// Allocates a slot holding a copy of live slot \p src.
-  Handle Clone(Handle src);
-
   /// Word \p w of slot \p h. Words of one slot are 8 slab elements apart
   /// (lane-blocked layout) — there is deliberately no contiguous
   /// `words(h)` accessor.
@@ -110,6 +107,9 @@ class SignaturePool {
   /// (BitSignature::FromSketches without the heap object). The slot must be
   /// freshly allocated (all zero).
   void BuildFromSketches(Handle h, const Sketch& cand, const Sketch& query);
+  /// \copybrief BuildFromSketches, from the K min values at \p cand (a
+  /// SketchPool slot's).
+  void BuildFromSketches(Handle h, const uint64_t* cand, const Sketch& query);
 
   /// OR-combines live slot \p src into live slot \p dst (§V-A merge).
   void Or(Handle dst, Handle src) {

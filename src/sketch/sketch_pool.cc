@@ -43,11 +43,6 @@ void SketchPool::Assign(Handle h, const Sketch& sk) {
   std::copy_n(sk.mins.data(), stride_, mins(h));
 }
 
-void SketchPool::Copy(Handle dst, Handle src) {
-  VCD_DCHECK(IsLive(dst) && IsLive(src), "SketchPool::Copy of non-live handle");
-  std::copy_n(mins(src), stride_, mins(dst));
-}
-
 int SketchPool::NumEqualAgainst(Handle h, const Sketch& query) const {
   VCD_DCHECK(query.K() == k_, "sketch K mismatch");
   kernels::Counters().sketch_num_equal_calls.fetch_add(

@@ -63,9 +63,6 @@ class SketchPool {
   /// Copies scalar sketch \p sk (same K) into slot \p h.
   void Assign(Handle h, const Sketch& sk);
 
-  /// Copies live slot \p src into live slot \p dst.
-  void Copy(Handle dst, Handle src);
-
   /// Element-wise minimum of \p src into \p dst (Property 1 combine) —
   /// one contiguous pass through the SIMD backend.
   void CombineMin(Handle dst, Handle src) {

@@ -1,39 +1,60 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 /// \file combiner.h
-/// The two candidate-sequence combination orders of paper §IV-A (Fig. 2).
+/// The candidate list of both combination orders of paper §IV-A (Fig. 2).
 ///
 /// Candidates grow by absorbing each newly completed basic window.
-/// *Sequential order* maintains one candidate per start window — every
-/// suffix of the recent stream of length 1..⌈λL/w⌉ windows — at the cost of
-/// ⌈λL/w⌉ combinations per arriving window. *Geometric order* maintains a
-/// binary-counter ladder of candidates whose sizes are powers of two, so an
-/// arriving window triggers at most ⌈log i⌉ merges; fewer candidate lengths
-/// are materialized, which trades recall for speed exactly as the paper
-/// describes.
+/// *Sequential order* keeps every suffix of the recent stream of length
+/// 1..⌈λL/w⌉ windows, at the cost of ⌈λL/w⌉ combinations per arriving
+/// window. *Geometric order* keeps only the suffixes that end on a block
+/// boundary of a binary counter over the combined windows: after n windows,
+/// the sums of its power-of-two blocks from the newest one back (Fig. 2's
+/// "combine with 4, then 3, then 1"), at most ⌊log₂⌈λL/w⌉⌋ + 1 of them, so
+/// fewer candidate lengths are materialized, which trades recall for speed
+/// exactly as the paper describes. Both orders run on one list: Geometric
+/// order is the Sequential list trimmed to those lengths (IsCounterBoundary).
 ///
 /// The candidate payload type `C` must expose an `int num_windows` member;
 /// merging of payloads (sketch element-wise min, or bit-signature OR) is
 /// supplied by the caller.
 ///
 /// ### Recycling
-/// Both containers work in place, for payloads that hold arena handles (see
+/// The list works in place, for payloads that hold arena handles (see
 /// sketch/signature_pool.h) and reuse buffer capacity:
-/// `Step(max_windows, init, merge, retire)` builds the fresh
+/// `Step(max_windows, keep, init, merge, retire)` builds the fresh
 /// candidate inside a recycled shell (`init(C&)` must fully overwrite it),
-/// and every candidate the container drops is passed to `retire(C&)` —
-/// which must release external resources such as pool handles — before its
-/// shell is parked for reuse. Shells keep their vector capacities, so the
+/// and every candidate the list drops is passed to `retire(C&)` — which
+/// must release external resources such as pool handles — before its shell
+/// is parked for reuse. Shells keep their vector capacities, so the
 /// steady-state window cycle performs no heap allocation.
 
 namespace vcd::stream {
 
-/// \brief Sequential order: every suffix of recent windows is a candidate.
+/// \brief Geometric order's rule: true when a suffix of \p length windows
+/// ends on a block boundary of the binary counter that has counted \p n
+/// windows, i.e. when \p length is `n mod 2^b` with `b = bit_width(length)`,
+/// the sum of the counter's blocks up to the one of length's top bit.
+///
+/// The rule holds no state. While the λL bound stays put, it keeps the
+/// suffixes a carry-and-drop ladder of power-of-two blocks would test. After
+/// the bound drops and rises again, such a ladder could join blocks across
+/// the windows of a carry it dropped; this rule never does (DESIGN.md §6).
+inline bool IsCounterBoundary(int64_t n, int length) {
+  if (length < 1) return false;
+  const auto len = static_cast<uint64_t>(length);
+  const uint64_t mask = (uint64_t{1} << std::bit_width(len)) - 1;
+  return (static_cast<uint64_t>(n) & mask) == len;
+}
+
+/// \brief The candidate list of both orders: suffixes of the recent
+/// windows, every one in Sequential order, the counter's block boundaries
+/// in Geometric order (the `keep` rule of Step).
 ///
 /// Candidates are kept oldest-first; window counts decrease from front to
 /// back, so expiry is a pop-front loop. Storage is a flat vector with a
@@ -61,21 +82,44 @@ class SequentialCandidates {
     for (size_t i = head_; i < buf_.size(); ++i) fn(buf_[i]);
   }
 
+  /// Calls \p fn on every live candidate, newest (shortest) first.
+  template <typename Fn>
+  void ForEachNewestFirst(Fn&& fn) {
+    for (size_t i = buf_.size(); i > head_; --i) fn(buf_[i - 1]);
+  }
+
   /// Absorbs a fresh single-window candidate: `init(C&)` fills a recycled
-  /// shell with it (it must overwrite every field), `merge(into, fresh)`
-  /// merges it into every live candidate (oldest first) and must also
-  /// advance `into.num_windows`, then it is appended and candidates that
-  /// now exceed \p max_windows expire. `retire(C&)` is called on each
-  /// expired candidate before its shell is parked for reuse.
-  template <typename InitFn, typename MergeFn, typename RetireFn>
-  void Step(int max_windows, InitFn&& init, MergeFn&& merge, RetireFn&& retire) {
+  /// shell with it (it must overwrite every field). Oldest first, each live
+  /// candidate is dropped unless `keep(length)` holds for the length it
+  /// would grow to, and otherwise absorbs the fresh one through
+  /// `merge(into, fresh)`, which must also advance `into.num_windows`. The
+  /// fresh candidate is appended if `keep` holds for its own length, and
+  /// candidates that now exceed \p max_windows expire. `retire(C&)` is
+  /// called on each candidate dropped (the fresh one included) before its
+  /// shell is parked for reuse.
+  template <typename KeepFn, typename InitFn, typename MergeFn, typename RetireFn>
+  void Step(int max_windows, KeepFn&& keep, InitFn&& init, MergeFn&& merge,
+            RetireFn&& retire) {
     C fresh = TakeShell();
     init(fresh);
-    for (size_t i = head_; i < buf_.size(); ++i) merge(buf_[i], fresh);
-    buf_.push_back(std::move(fresh));
+    size_t out = head_;
+    for (size_t i = head_; i < buf_.size(); ++i) {
+      if (!keep(buf_[i].num_windows + fresh.num_windows)) {
+        Park(buf_[i], retire);
+        continue;
+      }
+      merge(buf_[i], fresh);
+      if (out != i) buf_[out] = std::move(buf_[i]);
+      ++out;
+    }
+    buf_.resize(out);
+    if (keep(fresh.num_windows)) {
+      buf_.push_back(std::move(fresh));
+    } else {
+      Park(fresh, retire);
+    }
     while (!empty() && buf_[head_].num_windows > max_windows) {
-      retire(buf_[head_]);
-      spares_.push_back(std::move(buf_[head_]));
+      Park(buf_[head_], retire);
       ++head_;
     }
     MaybeCompact();
@@ -88,8 +132,7 @@ class SequentialCandidates {
     size_t out = head_;
     for (size_t i = head_; i < buf_.size(); ++i) {
       if (pred(buf_[i])) {
-        retire(buf_[i]);
-        spares_.push_back(std::move(buf_[i]));
+        Park(buf_[i], retire);
       } else {
         if (out != i) buf_[out] = std::move(buf_[i]);
         ++out;
@@ -116,6 +159,13 @@ class SequentialCandidates {
   void RestoreBack(C&& c) { buf_.push_back(std::move(c)); }
 
  private:
+  /// Retires \p c and parks its shell for reuse.
+  template <typename RetireFn>
+  void Park(C& c, RetireFn& retire) {
+    retire(c);
+    spares_.push_back(std::move(c));
+  }
+
   C TakeShell() {
     if (spares_.empty()) return C{};
     C shell = std::move(spares_.back());
@@ -124,9 +174,13 @@ class SequentialCandidates {
   }
 
   /// Slides the live range back to the buffer front once the dead prefix
-  /// dominates — amortized O(1) moves per Step, no deallocation.
+  /// is as long as the live range: amortized O(1) moves per Step, no
+  /// deallocation, and the buffer never outgrows twice the longest live
+  /// range, so its capacity settles as soon as the live count peaks. (A
+  /// fixed floor on the prefix would let a short Geometric list's buffer
+  /// keep growing, one expiry per counter period, long after warmup.)
   void MaybeCompact() {
-    if (head_ >= 32 && head_ * 2 >= buf_.size()) {
+    if (head_ > 0 && head_ >= size()) {
       buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
       head_ = 0;
     }
@@ -134,119 +188,6 @@ class SequentialCandidates {
 
   std::vector<C> buf_;     ///< live candidates are buf_[head_..)
   size_t head_ = 0;
-  std::vector<C> spares_;  ///< retired shells kept for capacity reuse
-};
-
-/// \brief Geometric order: a binary-counter ladder of power-of-two sized
-/// candidates; at most ⌈log i⌉ merges per arriving window.
-template <typename C>
-class GeometricCandidates {
- public:
-  /// Absorbs a fresh single-window candidate, which `init(C&)` fills into a
-  /// recycled shell, carrying merges up the ladder. `merge(older, newer)`
-  /// merges `newer` into `older` (which precedes it on the stream) and must
-  /// accumulate `num_windows`. A carry longer than \p max_windows is
-  /// dropped (expiry). `retire(C&)` is called on every candidate the ladder
-  /// drops — the absorbed (newer) side of each carry merge, and an expired
-  /// carry — before its shell is parked for reuse.
-  template <typename InitFn, typename MergeFn, typename RetireFn>
-  void Step(int max_windows, InitFn&& init, MergeFn&& merge, RetireFn&& retire) {
-    C carry = TakeShell();
-    init(carry);
-    size_t level = 0;
-    for (;;) {
-      if (level >= ladder_.size()) ladder_.resize(level + 1);
-      if (!ladder_[level].has_value()) {
-        if (carry.num_windows > max_windows) {  // expired before placement
-          retire(carry);
-          spares_.push_back(std::move(carry));
-          return;
-        }
-        ladder_[level] = std::move(carry);
-        return;
-      }
-      // The resident candidate is older (covers earlier windows); the carry
-      // extends it to the present.
-      C older = std::move(*ladder_[level]);
-      ladder_[level].reset();
-      merge(older, carry);
-      retire(carry);
-      spares_.push_back(std::move(carry));
-      carry = std::move(older);
-      ++level;
-    }
-  }
-
-  /// \brief Visits the cumulative suffix candidates (Fig. 2): the newest
-  /// block, then that block extended by the next-older block, and so on —
-  /// the sequences "ending now" with geometrically spaced lengths that
-  /// Geometric order actually tests.
-  ///
-  /// The sweep runs in caller-owned scratch: `assign(dst, src)` clones
-  /// stored block \p src into shell \p dst (the shell arrives retired —
-  /// external resources released, buffers reusable); `merge(older, newer)`
-  /// is the same merge as Step; `visit(c)` is called on each cumulative
-  /// candidate; `retire(C&)` releases a shell's external resources. Using
-  /// two shells (\p cum and \p tmp) makes the whole sweep allocation-free
-  /// for arena-backed payloads. Visiting stops once a cumulative candidate
-  /// would exceed \p max_windows.
-  template <typename AssignFn, typename MergeFn, typename VisitFn,
-            typename RetireFn>
-  void VisitSuffixesInto(int max_windows, C* cum, C* tmp, AssignFn&& assign,
-                         MergeFn&& merge, VisitFn&& visit,
-                         RetireFn&& retire) const {
-    bool have = false;
-    for (const auto& slot : ladder_) {
-      if (!slot.has_value()) continue;
-      if (!have) {
-        assign(*cum, *slot);
-        have = true;
-      } else {
-        if (slot->num_windows + cum->num_windows > max_windows) break;
-        assign(*tmp, *slot);
-        merge(*tmp, *cum);
-        retire(*cum);
-        std::swap(*cum, *tmp);
-      }
-      if (cum->num_windows > max_windows) break;
-      visit(*cum);
-    }
-    if (have) retire(*cum);
-  }
-
-  /// Live candidates (unordered across levels; level index grows with size).
-  std::vector<std::optional<C>>& ladder() { return ladder_; }
-  /// \copydoc ladder
-  const std::vector<std::optional<C>>& ladder() const { return ladder_; }
-
-  /// Calls \p fn on every live candidate.
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-    for (auto& slot : ladder_) {
-      if (slot.has_value()) fn(*slot);
-    }
-  }
-
-  /// Drops all state (including recycled shells); \p retire sees every
-  /// live candidate first.
-  template <typename RetireFn>
-  void Clear(RetireFn&& retire) {
-    for (auto& slot : ladder_) {
-      if (slot.has_value()) retire(*slot);
-    }
-    ladder_.clear();
-    spares_.clear();
-  }
-
- private:
-  C TakeShell() {
-    if (spares_.empty()) return C{};
-    C shell = std::move(spares_.back());
-    spares_.pop_back();
-    return shell;
-  }
-
-  std::vector<std::optional<C>> ladder_;
   std::vector<C> spares_;  ///< retired shells kept for capacity reuse
 };
 

@@ -94,13 +94,13 @@ TEST(SnapshotTest, NewerFormatVersionIsFailedPrecondition) {
 }
 
 TEST(SnapshotTest, OlderFormatVersionIsFailedPrecondition) {
-  // Version 1 snapshots carried fields version 2 dropped; they are refused
-  // by version, not misread as corrupt.
+  // Version 2 snapshots lead each candidate with a ladder level version 3
+  // dropped; they are refused by version, not misread as corrupt.
   auto image = EncodeSnapshot(7, TwoSections());
   image[4] = static_cast<uint8_t>(kSnapshotFormatVersion - 1);  // LE u32
   const Status st = DecodeSnapshot(image.data(), image.size()).status();
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.ToString().find("format version 1"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("format version 2"), std::string::npos) << st.ToString();
 }
 
 TEST(StateCodecTest, MetaRoundTripAndCheck) {

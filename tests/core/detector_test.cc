@@ -224,6 +224,59 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(CombinationOrder::kSequential,
                                          CombinationOrder::kGeometric)));
 
+TEST(CopyDetectorTest, GeometricOrderReportsTheShortestMatchingSuffix) {
+  // A 16-cell query and three windows of 10 key frames: windows 1 and 2
+  // each hold 6 query cells and 4 others (J = 0.3), window 3 holds 10 query
+  // cells (J = 0.625). After window 3 the counter reads 0b11, so Geometric
+  // order tests two suffixes, window 3 alone and windows 1..3 (J = 0.8),
+  // and both clear δ = 0.5. The report cooldown lets one through: the
+  // first one tested. Geometric order tests newest (shortest) first;
+  // Sequential order tests oldest first, and its 3-window suffix wins.
+  std::vector<CellId> query;
+  for (CellId c = 1; c <= 16; ++c) query.push_back(c);
+  std::vector<CellId> stream;
+  for (int w = 0; w < 2; ++w) {
+    for (CellId c : {11, 12, 13, 14, 15, 16, 901, 902, 903, 904}) stream.push_back(c);
+  }
+  for (CellId c = 1; c <= 10; ++c) stream.push_back(c);
+  for (auto rep : {Representation::kBit, Representation::kSketch}) {
+    for (double cooldown : {-1.0, 0.0}) {
+      for (auto order : {CombinationOrder::kGeometric, CombinationOrder::kSequential}) {
+        SCOPED_TRACE(::testing::Message()
+                     << RepresentationName(rep) << " " << CombinationOrderName(order)
+                     << " cooldown " << cooldown);
+        DetectorConfig c = SmallConfig();
+        c.delta = 0.5;
+        c.representation = rep;
+        c.order = order;
+        c.report_cooldown_seconds = cooldown;
+        c.validate_state = true;
+        auto det = CopyDetector::Create(c).value();
+        ASSERT_TRUE(det->AddQueryCells(1, query, 40.0).ok());
+        ASSERT_TRUE(World::Feed(det.get(), stream, 0).ok());
+        ASSERT_TRUE(det->Finish().ok());
+        // Every match ends with window 3 (slots 20..29); the start slot
+        // tells the suffix apart.
+        std::vector<int64_t> start_slots;
+        for (const Match& m : det->matches()) {
+          EXPECT_EQ(m.end_frame, 29 * 12);
+          start_slots.push_back(m.start_frame / 12);
+        }
+        if (cooldown == 0.0) {
+          // Both suffixes match; oldest-first order also tests windows 2..3.
+          const std::vector<int64_t> want =
+              order == CombinationOrder::kGeometric ? std::vector<int64_t>{20, 0}
+                                                    : std::vector<int64_t>{0, 10, 20};
+          EXPECT_EQ(start_slots, want);
+        } else {
+          EXPECT_EQ(start_slots, std::vector<int64_t>{
+                                     order == CombinationOrder::kGeometric ? 20 : 0});
+        }
+      }
+    }
+  }
+}
+
 TEST(CopyDetectorTest, BitAndSketchAgreeWithoutIndex) {
   // The bit signature is a lossless re-encoding of sketch/query relations:
   // BitNoIndex and SketchNoIndex must report identical match sets in
@@ -308,10 +361,10 @@ TEST(CopyDetectorTest, ValidateStateHoldsAcrossConfigurations) {
 
 TEST(CopyDetectorTest, RemovingLongestQueryMidStreamKeepsStateValid) {
   // Query 1 allows ⌈2·64/4⌉ = 32 windows, query 2 six. After 16 windows
-  // Geometric order holds one 16-window ladder block (Sequential order
+  // Geometric order holds one 16-window candidate (Sequential order
   // candidates of up to 16 windows); removing query 1 lowers the λL bound
-  // to 6 below them. The ladder never tests that block again, so the
-  // per-window ValidateState sweep must accept it, and so must a restore
+  // to 6 below them. They expire at the next window, so the per-window
+  // ValidateState sweep must accept them until then, and so must a restore
   // of a snapshot taken right after the removal, which then reports the
   // uninterrupted detector's matches from the cut on.
   for (auto order : {CombinationOrder::kGeometric, CombinationOrder::kSequential}) {
@@ -326,7 +379,7 @@ TEST(CopyDetectorTest, RemovingLongestQueryMidStreamKeepsStateValid) {
       const std::vector<CellId> long_q = w.RandomContent(40, 0, 1000);
       const std::vector<CellId> short_q = w.RandomContent(20, 0, 1000);
       const std::vector<CellId> before = w.RandomContent(170, 0, 1000);
-      // Query 2 plays at windows 24-25, a ladder block of its own.
+      // Query 2 plays at windows 24-25.
       std::vector<CellId> after = w.RandomContent(70, 0, 1000);
       after.insert(after.end(), short_q.begin(), short_q.end());
       const std::vector<CellId> tail = w.RandomContent(60, 0, 1000);
@@ -403,6 +456,46 @@ TEST(CopyDetectorTest, RestoreRefusesSignatureOverLemma2Bound) {
     const Status ok = unpruned->RestoreCkptState(snapshot);
     EXPECT_TRUE(ok.ok()) << ok.ToString();
   }
+}
+
+TEST(CopyDetectorTest, RestoreRefusesACandidateListItsOrderCannotHold) {
+  // Both orders restore one candidate list, oldest first. A Geometric list
+  // holds counter boundaries only, each Bit candidate with its span's
+  // sketch; a Sequential Bit candidate holds no sketch.
+  Scenario s;
+  const auto restore = [&](const DetectorConfig& c, const DetectorCkptState& st) {
+    auto det = CopyDetector::Create(c).value();
+    EXPECT_TRUE(det->AddQueryCells(1, s.query, 16.0).ok());
+    return det->RestoreCkptState(st);
+  };
+  DetectorConfig geo = SmallConfig();
+  geo.order = CombinationOrder::kGeometric;
+  auto det = CopyDetector::Create(geo).value();
+  ASSERT_TRUE(det->AddQueryCells(1, s.query, 16.0).ok());
+  ASSERT_TRUE(World::Feed(det.get(), s.query, 0).ok());
+  ASSERT_EQ(det->stats().windows, 3);  // 0b11: suffixes of 3 and 1 windows
+  const DetectorCkptState snapshot = det->ExportCkptState();
+  ASSERT_EQ(snapshot.candidates.size(), 2u);
+  ASSERT_TRUE(restore(geo, snapshot).ok());
+
+  const auto expect_refused = [&](const DetectorConfig& c, const DetectorCkptState& st,
+                                  const std::string& why) {
+    const Status refused = restore(c, st);
+    EXPECT_FALSE(refused.ok()) << why;
+    EXPECT_NE(refused.ToString().find(why), std::string::npos) << refused.ToString();
+  };
+  DetectorCkptState off_boundary = snapshot;
+  off_boundary.candidates[1].num_windows = 2;  // 3 mod 4 is not 2
+  expect_refused(geo, off_boundary, "block boundary");
+  DetectorCkptState newest_first = snapshot;
+  std::swap(newest_first.candidates[0], newest_first.candidates[1]);
+  expect_refused(geo, newest_first, "strictly decreasing");
+  DetectorCkptState no_sketch = snapshot;
+  no_sketch.candidates[0].mins.clear();
+  expect_refused(geo, no_sketch, "holds no sketch slot");
+  DetectorConfig seq = geo;
+  seq.order = CombinationOrder::kSequential;
+  expect_refused(seq, snapshot, "holds a sketch slot");
 }
 
 TEST(CopyDetectorTest, StatsCountKeyFramesAndWindows) {
@@ -593,7 +686,7 @@ TEST(CopyDetectorTest, GeometricSketchTracksMemory) {
   Scenario s;
   auto det = s.Run(c, s.query);
   EXPECT_GT(det->stats().candidates_per_window.count(), 0);
-  // A binary-counter ladder holds at most ~log2(max windows) + 1 blocks.
+  // Geometric order keeps at most ⌊log2(max windows)⌋ + 1 suffixes.
   EXPECT_LE(det->stats().candidates_per_window.max(), 5.0);
 }
 

@@ -18,11 +18,11 @@
 ///  (b) it lies within ε(K) = 2.7/√K of the exact Jaccard of that span.
 /// And (c): every Sequential configuration detects, by the paper's
 /// position rule, every plant that ExactDetector detects at δ + ε(K).
-///
-/// Bit/Geometric is left out. Its merge joins multi-window blocks and
-/// clones into the older block a query only the newer one holds, so a
-/// match can report a longer span than its bits cover (ROADMAP item 7,
-/// whose Geometric half is open).
+/// Geometric order tests fewer suffix lengths, which trades recall for
+/// speed (paper §IV-A), so (c) does not hold for it. Instead, per seed, all
+/// 8 Geometric configurations report one match list: every one tests the
+/// same suffixes, each at the min-hash estimate of its span, and pruning
+/// drops only pairs that cannot reach δ.
 
 #include <gtest/gtest.h>
 
@@ -185,10 +185,6 @@ std::vector<DiffCase> Cases() {
   for (Representation rep : {Representation::kBit, Representation::kSketch}) {
     for (CombinationOrder order :
          {CombinationOrder::kSequential, CombinationOrder::kGeometric}) {
-      // Bit/Geometric is left out (file comment).
-      if (rep == Representation::kBit && order == CombinationOrder::kGeometric) {
-        continue;
-      }
       for (bool idx : {true, false}) {
         for (bool prune : {true, false}) {
           cases.push_back(DiffCase{rep, order, idx, prune});
@@ -215,7 +211,7 @@ TEST_P(ExactDifferentialTest, MatchesMeasureTheirSpanAndFindExactCopies) {
   const sketch::Sketcher sketcher(&family);
 
   int64_t matches = 0, not_span_estimate = 0, beyond_epsilon = 0;
-  int exact_plants = 0, exact_interrupted = 0, missed = 0;
+  int exact_plants = 0, exact_interrupted = 0, found_plants = 0, missed = 0;
   double max_error = 0.0;
   std::ostringstream first_failures;
   int reported = 0;
@@ -272,7 +268,9 @@ TEST_P(ExactDifferentialTest, MatchesMeasureTheirSpanAndFindExactCopies) {
       if (!Detected(exact_found, plant)) continue;
       ++exact_plants;
       exact_interrupted += plant.interrupted;
-      if (p.order == CombinationOrder::kSequential && !Detected(found, plant)) {
+      const bool detected = Detected(found, plant);
+      found_plants += detected;
+      if (p.order == CombinationOrder::kSequential && !detected) {
         ++missed;
         if (reported++ < 5) {
           first_failures << "\n  seed " << seed << " query "
@@ -289,6 +287,7 @@ TEST_P(ExactDifferentialTest, MatchesMeasureTheirSpanAndFindExactCopies) {
   RecordProperty("max_error", std::to_string(max_error));
   RecordProperty("exact_plants", std::to_string(exact_plants));
   RecordProperty("exact_interrupted", std::to_string(exact_interrupted));
+  RecordProperty("found_plants", std::to_string(found_plants));
   SCOPED_TRACE(first_failures.str());
   ASSERT_GT(matches, 0);
   EXPECT_EQ(not_span_estimate, 0) << "of " << matches << " matches";
@@ -302,6 +301,52 @@ TEST_P(ExactDifferentialTest, MatchesMeasureTheirSpanAndFindExactCopies) {
 
 INSTANTIATE_TEST_SUITE_P(Configs, ExactDifferentialTest,
                          ::testing::ValuesIn(Cases()), CaseName);
+
+/// One match per line, every field, doubles at full precision.
+std::string Render(const std::vector<Match>& matches) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const Match& m : matches) {
+    out << "q=" << m.query_id << " frames=" << m.start_frame << ".." << m.end_frame
+        << " time=" << m.start_time << ".." << m.end_time << " sim=" << m.similarity
+        << "\n";
+  }
+  return out.str();
+}
+
+TEST(GeometricDifferentialTest, EveryGeometricConfigReportsOneMatchList) {
+  // Every Geometric configuration tests the same suffixes, each at the
+  // min-hash estimate of its span, so Bit and Sketch, with and without the
+  // index and pruning, must report byte-identical match lists.
+  int64_t matches = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const Scenario s = Generate(static_cast<uint64_t>(seed));
+    std::string first;
+    std::string first_name;
+    for (const DiffCase& p : Cases()) {
+      if (p.order != CombinationOrder::kGeometric) continue;
+      DetectorConfig config = BaseConfig();
+      config.representation = p.rep;
+      config.order = p.order;
+      config.use_index = p.use_index;
+      config.enable_pruning = p.enable_pruning;
+      auto det = CopyDetector::Create(config).value();
+      const std::string rendered = Render(RunScenario(det.get(), s));
+      const std::string name =
+          CaseName(::testing::TestParamInfo<DiffCase>(p, 0));
+      if (first_name.empty()) {
+        first = rendered;
+        first_name = name;
+        matches += std::count(first.begin(), first.end(), '\n');
+        continue;
+      }
+      EXPECT_EQ(rendered, first) << name << " against " << first_name;
+    }
+  }
+  RecordProperty("matches", std::to_string(matches));
+  EXPECT_GT(matches, 0);
+}
 
 }  // namespace
 }  // namespace vcd::core

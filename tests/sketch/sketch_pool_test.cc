@@ -76,21 +76,6 @@ TEST(SketchPoolTest, NumEqualMatchesScalarSimilarity) {
   }
 }
 
-TEST(SketchPoolTest, CopyDuplicatesSlot) {
-  Rng rng(31);
-  const int k = 33;
-  SketchPool pool(k);
-  const Sketch sk = RandomSketch(k, &rng);
-  const SketchPool::Handle a = pool.Allocate();
-  pool.Assign(a, sk);
-  const SketchPool::Handle b = pool.Allocate();
-  pool.Copy(b, a);
-  EXPECT_EQ(pool.ToSketch(b), sk);
-  // Copies are independent.
-  pool.mins(a)[0] = 12345;
-  EXPECT_EQ(pool.ToSketch(b), sk);
-}
-
 TEST(SketchPoolTest, FreeListReusesSlotsWithoutGrowth) {
   SketchPool pool(16);
   const SketchPool::Handle a = pool.Allocate();

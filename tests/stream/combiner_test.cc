@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace vcd::stream {
@@ -22,29 +24,14 @@ void Merge(Cand& older, const Cand& newer) {
   older.last = newer.last;
 }
 
-/// Absorbs window \p i into \p container (payloads own no resources, so
-/// retire has nothing to release).
-template <typename Container>
-void StepWindow(Container* container, int i, int max_windows) {
-  container->Step(
-      max_windows, [&](Cand& c) { c = Fresh(i); }, Merge, [](Cand&) {});
-}
+/// Sequential order's rule: every length stays.
+bool KeepAll(int) { return true; }
 
-/// Live candidates of \p geo, counted through ForEach.
-size_t LiveCount(GeometricCandidates<Cand>* geo) {
-  size_t n = 0;
-  geo->ForEach([&](Cand&) { ++n; });
-  return n;
-}
-
-/// The cumulative suffix candidates VisitSuffixesInto visits, in order.
-std::vector<Cand> Suffixes(const GeometricCandidates<Cand>& geo, int max_windows) {
-  std::vector<Cand> visited;
-  Cand cum, tmp;
-  geo.VisitSuffixesInto(
-      max_windows, &cum, &tmp, [](Cand& dst, const Cand& src) { dst = src; },
-      Merge, [&](const Cand& c) { visited.push_back(c); }, [](Cand&) {});
-  return visited;
+/// Absorbs window \p i into \p seq in Sequential order (payloads own no
+/// resources, so retire has nothing to release).
+void StepWindow(SequentialCandidates<Cand>* seq, int i, int max_windows) {
+  seq->Step(
+      max_windows, KeepAll, [&](Cand& c) { c = Fresh(i); }, Merge, [](Cand&) {});
 }
 
 TEST(SequentialCandidatesTest, AllSuffixLengthsPresent) {
@@ -105,7 +92,7 @@ TEST(SequentialCandidatesTest, StepRecyclesShellsAndRetiresExpired) {
   int retired = 0;
   for (int i = 0; i < 20; ++i) {
     seq.Step(
-        max_windows,
+        max_windows, KeepAll,
         [&](RCand& c) {
           c.num_windows = 1;
           c.first = c.last = i;
@@ -140,7 +127,7 @@ TEST(SequentialCandidatesTest, RemoveIfRetiresDropped) {
   SequentialCandidates<RCand> seq;
   for (int i = 0; i < 5; ++i) {
     seq.Step(
-        100,
+        100, KeepAll,
         [&](RCand& c) {
           c = RCand{1, i, i, true};
         },
@@ -171,175 +158,264 @@ TEST(SequentialCandidatesTest, RemoveIfRetiresDropped) {
   EXPECT_TRUE(seq.empty());
 }
 
-TEST(GeometricCandidatesTest, StepRecyclesShellsAndDropsOversizedCarry) {
-  GeometricCandidates<RCand> geo;
-  const int max_windows = 8;
-  for (int i = 0; i < 29; ++i) {
-    geo.Step(
-        max_windows,
-        [&](RCand& c) {
-          c.num_windows = 1;
-          c.first = c.last = i;
-          c.owns = true;
-        },
-        [](RCand& older, const RCand& newer) {
-          EXPECT_EQ(older.last + 1, newer.first);
-          older.num_windows += newer.num_windows;
-          older.last = newer.last;
-        },
-        [](RCand& c) {
-          EXPECT_TRUE(c.owns);
-          c.owns = false;
-        });
-    // A carry of 16 windows exceeds max_windows and is dropped, so the
-    // ladder counts the windows since the last drop in binary, newest
-    // (smallest) block first, tiling back from window i.
-    const int count = (i + 1) % 16;
-    int expected_last = i;
-    for (size_t l = 0; l < geo.ladder().size(); ++l) {
-      const auto& slot = geo.ladder()[l];
-      ASSERT_EQ(slot.has_value(), ((count >> l) & 1) != 0)
-          << "window " << i << " level " << l;
-      if (!slot.has_value()) continue;
-      EXPECT_EQ(slot->num_windows, 1 << l);
-      EXPECT_EQ(slot->last, expected_last);
-      EXPECT_EQ(slot->first, expected_last - slot->num_windows + 1);
-      EXPECT_TRUE(slot->owns);
-      expected_last = slot->first - 1;
+// --- Geometric order: the list trimmed to counter block boundaries --------
+//
+// The tests below compare the list, stepped with IsCounterBoundary as its
+// keep rule, against a reference binary counter: a ladder of power-of-two
+// blocks with the carry-and-drop rule the detector used to run.
+
+/// Reference Geometric order: level l holds a block of 2^l windows or
+/// nothing; a new window carries up the ladder, and a carry longer than the
+/// bound is dropped where it would land.
+class ReferenceCounter {
+ public:
+  void Step(int max_windows) {
+    int carry = 1;
+    for (size_t level = 0;; ++level) {
+      if (level == blocks_.size()) blocks_.push_back(0);
+      if (blocks_[level] == 0) {
+        if (carry <= max_windows) blocks_[level] = carry;
+        return;
+      }
+      carry += blocks_[level];
+      blocks_[level] = 0;
     }
   }
+
+  /// The suffix lengths the reference tests, newest (shortest) first: the
+  /// newest block, extended by each older block in turn while the sum stays
+  /// within \p max_windows.
+  std::vector<int> SuffixSums(int max_windows) const {
+    std::vector<int> sums;
+    int cum = 0;
+    for (int block : blocks_) {
+      if (block == 0) continue;
+      if (cum + block > max_windows) break;
+      cum += block;
+      sums.push_back(cum);
+    }
+    return sums;
+  }
+
+ private:
+  std::vector<int> blocks_;  ///< per level: block length, 0 when empty
+};
+
+/// A Geometric-order list of RCand payloads that counts its retirements.
+struct GeoList {
+  SequentialCandidates<RCand> list;
+  int64_t windows = 0;  ///< windows absorbed: the counter's value
+  int inits = 0;
+  int retired = 0;
+
+  /// Absorbs the next window under bound \p max_windows.
+  void Step(int max_windows) {
+    const int i = static_cast<int>(windows++);
+    const int64_t n = windows;
+    list.Step(
+        max_windows, [&](int length) { return IsCounterBoundary(n, length); },
+        [&](RCand& c) {
+          EXPECT_FALSE(c.owns) << "a recycled shell must arrive retired";
+          c = RCand{1, i, i, true};
+          ++inits;
+        },
+        [](RCand& older, const RCand& fresh) {
+          EXPECT_EQ(older.last + 1, fresh.first) << "merge must join adjacent spans";
+          older.num_windows += fresh.num_windows;
+          older.last = fresh.last;
+        },
+        [&](RCand& c) {
+          EXPECT_TRUE(c.owns) << "a shell must be retired exactly once";
+          c.owns = false;
+          ++retired;
+        });
+  }
+
+  /// Live lengths, newest (shortest) first, each checked to be a suffix of
+  /// the windows so far that owns its resource.
+  std::vector<int> Lengths() {
+    std::vector<int> lengths;
+    list.ForEachNewestFirst([&](const RCand& c) {
+      EXPECT_TRUE(c.owns);
+      EXPECT_EQ(c.last, windows - 1);
+      EXPECT_EQ(c.first, c.last - c.num_windows + 1);
+      lengths.push_back(c.num_windows);
+    });
+    return lengths;
+  }
+};
+
+int FloorLog2(int v) { return std::bit_width(static_cast<unsigned>(v)) - 1; }
+
+TEST(GeometricCandidatesTest, StepRecyclesShellsAndDropsOversizedCarry) {
+  GeoList geo;
+  ReferenceCounter ref;
+  const int max_windows = 8;
+  for (int i = 0; i < 29; ++i) {
+    geo.Step(max_windows);
+    ref.Step(max_windows);
+    // A 16-window carry exceeds the bound; a 16-window candidate expires
+    // alike, so the live suffixes are the reference's, tiling back from
+    // window i.
+    ASSERT_EQ(geo.Lengths(), ref.SuffixSums(max_windows)) << "window " << i;
+  }
+  // Every shell that left the list was retired once; the rest are live.
+  EXPECT_EQ(geo.inits - geo.retired, static_cast<int>(geo.list.size()));
 }
 
 TEST(GeometricCandidatesTest, VisitSuffixesIntoRetiresEveryShell) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 13; ++i) StepWindow(&geo, i, 1000);
-  std::vector<Cand> inplace;
-  Cand cum, tmp;
-  int retired = 0;
-  geo.VisitSuffixesInto(
-      1000, &cum, &tmp,
-      [](Cand& dst, const Cand& src) { dst = src; },
-      [](Cand& older, const Cand& newer) {
-        older.num_windows += newer.num_windows;
-        older.last = newer.last;
-      },
-      [&](const Cand& c) { inplace.push_back(c); }, [&](Cand&) { ++retired; });
-  // 13 = 0b1101: blocks of 1, 4 and 8 windows give suffixes of 1, 5 and 13.
-  const std::vector<int> lengths = {1, 5, 13};
-  ASSERT_EQ(inplace.size(), lengths.size());
-  for (size_t i = 0; i < inplace.size(); ++i) {
-    EXPECT_EQ(inplace[i].num_windows, lengths[i]);
-    EXPECT_EQ(inplace[i].first, 13 - lengths[i]);
-    EXPECT_EQ(inplace[i].last, 12);
+  for (int max_windows : {1, 3, 8, 24}) {
+    SCOPED_TRACE(max_windows);
+    GeoList geo;
+    for (int n = 1; n <= 300; ++n) {
+      geo.Step(max_windows);
+      ASSERT_EQ(geo.inits - geo.retired, static_cast<int>(geo.list.size()))
+          << "after " << n << " windows";
+    }
+    geo.list.Clear([&](RCand& c) {
+      EXPECT_TRUE(c.owns);
+      c.owns = false;
+      ++geo.retired;
+    });
+    EXPECT_EQ(geo.retired, geo.inits);
+    EXPECT_EQ(geo.inits, 300);  // one fresh shell per window
   }
-  // Every intermediate cum plus the final one must have been retired.
-  EXPECT_EQ(retired, static_cast<int>(inplace.size()));
 }
 
 TEST(GeometricCandidatesTest, BinaryCounterSizes) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 16; ++i) StepWindow(&geo, i, 1000);
-  // 16 windows = 0b10000: one block of 16 at level 4.
-  int live = 0;
-  for (size_t level = 0; level < geo.ladder().size(); ++level) {
-    if (geo.ladder()[level].has_value()) {
-      ++live;
-      EXPECT_EQ(geo.ladder()[level]->num_windows, 1 << level);
-    }
-  }
-  EXPECT_EQ(live, 1);
-  EXPECT_EQ(LiveCount(&geo), 1u);
+  GeoList geo;
+  for (int i = 0; i < 16; ++i) geo.Step(1000);
+  // 16 windows = 0b10000: one block, one suffix of 16.
+  EXPECT_EQ(geo.Lengths(), std::vector<int>{16});
+  // The rule itself: the low bit_width(length) bits of n equal length.
+  EXPECT_TRUE(IsCounterBoundary(13, 1));
+  EXPECT_TRUE(IsCounterBoundary(13, 5));
+  EXPECT_TRUE(IsCounterBoundary(13, 13));
+  EXPECT_FALSE(IsCounterBoundary(13, 4));
+  EXPECT_FALSE(IsCounterBoundary(13, 9));
+  EXPECT_FALSE(IsCounterBoundary(12, 1));
+  EXPECT_FALSE(IsCounterBoundary(13, 0));
 }
 
 TEST(GeometricCandidatesTest, CounterValueMatchesWindowCount) {
-  GeometricCandidates<Cand> geo;
+  GeoList geo;
   const int n = 13;  // 0b1101
-  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
-  int total = 0;
-  for (const auto& slot : geo.ladder()) {
-    if (slot.has_value()) total += slot->num_windows;
-  }
-  EXPECT_EQ(total, n);
-  EXPECT_EQ(LiveCount(&geo), 3u);  // bits set in 13
+  for (int i = 0; i < n; ++i) geo.Step(1000);
+  const std::vector<int> lengths = geo.Lengths();
+  ASSERT_EQ(lengths.size(), 3u);  // bits set in 13
+  EXPECT_EQ(lengths.back(), n);   // the longest suffix spans every window
 }
 
 TEST(GeometricCandidatesTest, BlocksAreContiguousNewestFirst) {
-  GeometricCandidates<Cand> geo;
-  const int n = 13;
-  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
-  // Level order is newest (smallest) to oldest (largest); spans must tile
-  // [0, n) in reverse.
-  int expected_last = n - 1;
-  for (const auto& slot : geo.ladder()) {
-    if (!slot.has_value()) continue;
-    EXPECT_EQ(slot->last, expected_last);
-    expected_last = slot->first - 1;
+  GeoList geo;
+  for (int i = 0; i < 13; ++i) geo.Step(1000);
+  // Newest first, each suffix extends the previous one by the next-older
+  // block of 13 = 0b1101: 1, then 4, then 8 windows. Lengths() checks that
+  // every span ends at the newest window.
+  const std::vector<int> lengths = geo.Lengths();
+  ASSERT_EQ(lengths, (std::vector<int>{1, 5, 13}));
+  int prev = 0;
+  for (int length : lengths) {
+    const int block = length - prev;
+    EXPECT_EQ(block & (block - 1), 0) << "block " << block << " is no power of two";
+    EXPECT_GT(block, prev) << "blocks grow from the newest back";
+    prev = length;
   }
-  EXPECT_EQ(expected_last, -1);
 }
 
 TEST(GeometricCandidatesTest, VisitSuffixesYieldsSuffixSpans) {
-  GeometricCandidates<Cand> geo;
-  const int n = 13;
-  for (int i = 0; i < n; ++i) StepWindow(&geo, i, 1000);
-  const std::vector<Cand> visited = Suffixes(geo, 1000);
-  ASSERT_FALSE(visited.empty());
-  // Every visited candidate ends at the latest window and lengths grow.
-  int prev = 0;
-  for (const Cand& c : visited) {
-    EXPECT_EQ(c.last, n - 1);
-    EXPECT_EQ(c.first, n - c.num_windows);
-    EXPECT_GT(c.num_windows, prev);
-    prev = c.num_windows;
-  }
-  // The largest suffix covers everything.
-  EXPECT_EQ(visited.back().num_windows, n);
-}
-
-TEST(GeometricCandidatesTest, VisitSuffixesHonorsMaxWindows) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 16; ++i) StepWindow(&geo, i, 1000);
-  StepWindow(&geo, 16, 1000);  // blocks: 16 @L4, 1 @L0
-  const std::vector<Cand> visited = Suffixes(geo, 8);
-  // Only the length-1 suffix fits under max_windows = 8.
-  ASSERT_EQ(visited.size(), 1u);
-  EXPECT_EQ(visited[0].num_windows, 1);
-}
-
-TEST(GeometricCandidatesTest, ExpiryDropsOversizedCarry) {
-  GeometricCandidates<Cand> geo;
-  // max_windows = 4: merging to a block of 8 must drop it.
-  for (int i = 0; i < 8; ++i) StepWindow(&geo, i, 4);
-  for (const auto& slot : geo.ladder()) {
-    if (slot.has_value()) {
-      EXPECT_LE(slot->num_windows, 4);
+  for (int max_windows : {1, 3, 8, 24}) {
+    SCOPED_TRACE(max_windows);
+    GeoList geo;
+    ReferenceCounter ref;
+    for (int n = 1; n <= 300; ++n) {
+      geo.Step(max_windows);
+      ref.Step(max_windows);
+      ASSERT_EQ(geo.Lengths(), ref.SuffixSums(max_windows))
+          << "after " << n << " windows";
     }
   }
 }
 
+TEST(GeometricCandidatesTest, VisitSuffixesHonorsMaxWindows) {
+  GeoList geo;
+  for (int i = 0; i < 17; ++i) geo.Step(8);
+  // 17 = 0b10001: the 17-window suffix is over the bound, so only the
+  // newest one-window suffix is live.
+  EXPECT_EQ(geo.Lengths(), std::vector<int>{1});
+}
+
+TEST(GeometricCandidatesTest, ExpiryDropsOversizedCarry) {
+  GeoList geo;
+  for (int i = 0; i < 8; ++i) {
+    geo.Step(4);
+    for (int length : geo.Lengths()) EXPECT_LE(length, 4);
+  }
+  // 8 = 0b1000: its one suffix, 8 windows, is over the bound.
+  EXPECT_TRUE(geo.list.empty());
+}
+
 TEST(GeometricCandidatesTest, LogarithmicLiveCount) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 1000; ++i) StepWindow(&geo, i, 1 << 20);
-  // popcount(1000) = 6 live blocks; never more than log2(1000)+1.
-  EXPECT_LE(LiveCount(&geo), 10u);
-  EXPECT_EQ(LiveCount(&geo), 6u);
+  GeoList geo;
+  for (int i = 0; i < 1000; ++i) geo.Step(1 << 20);
+  // popcount(1000) = 6 live suffixes; never more than log2(1000)+1.
+  EXPECT_EQ(geo.list.size(), 6u);
+  for (int max_windows : {1, 3, 8, 24}) {
+    SCOPED_TRACE(max_windows);
+    GeoList bounded;
+    for (int n = 1; n <= 300; ++n) {
+      bounded.Step(max_windows);
+      ASSERT_LE(static_cast<int>(bounded.list.size()), FloorLog2(max_windows) + 1)
+          << "after " << n << " windows";
+    }
+  }
 }
 
 TEST(GeometricCandidatesTest, ClearRetiresEveryLiveCandidate) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 7; ++i) StepWindow(&geo, i, 100);
+  GeoList geo;
+  for (int i = 0; i < 7; ++i) geo.Step(100);
   int retired = 0;
-  geo.Clear([&](Cand&) { ++retired; });
+  geo.list.Clear([&](RCand& c) {
+    EXPECT_TRUE(c.owns);
+    ++retired;
+  });
   EXPECT_EQ(retired, 3);  // popcount(7)
-  EXPECT_EQ(LiveCount(&geo), 0u);
+  EXPECT_TRUE(geo.list.empty());
 }
 
 TEST(GeometricCandidatesTest, ForEachVisitsAllLive) {
-  GeometricCandidates<Cand> geo;
-  for (int i = 0; i < 7; ++i) StepWindow(&geo, i, 100);
-  int count = 0;
-  geo.ForEach([&](Cand&) { ++count; });
-  EXPECT_EQ(count, 3);  // popcount(7)
+  GeoList geo;
+  for (int i = 0; i < 7; ++i) geo.Step(100);
+  std::vector<int> oldest_first;
+  geo.list.ForEach([&](const RCand& c) { oldest_first.push_back(c.num_windows); });
+  EXPECT_EQ(oldest_first, (std::vector<int>{7, 3, 1}));  // popcount(7) = 3
+  std::reverse(oldest_first.begin(), oldest_first.end());
+  EXPECT_EQ(geo.Lengths(), oldest_first);
+}
+
+TEST(GeometricCandidatesTest, BoundChangesKeepSuffixesContiguous) {
+  // The reference ladder is not stateless: lowered to 3 for windows 9..12,
+  // its bound drops the 4-window carry of those windows and keeps the
+  // 8-window block of windows 1..8, which, raised again, it extends across
+  // the dropped windows (at window 16 its "12-window suffix" is windows
+  // 1..8 and 13..16). The list keeps contiguous suffixes on counter
+  // boundaries only (Lengths() checks the spans).
+  GeoList geo;
+  ReferenceCounter ref;
+  const auto step = [&](int max_windows) {
+    geo.Step(max_windows);
+    ref.Step(max_windows);
+    for (int length : geo.Lengths()) {
+      EXPECT_TRUE(IsCounterBoundary(geo.windows, length));
+      EXPECT_LE(length, max_windows);
+    }
+  };
+  for (int i = 0; i < 8; ++i) step(1000);
+  for (int i = 0; i < 4; ++i) step(3);
+  for (int i = 0; i < 4; ++i) step(1000);
+  EXPECT_EQ(ref.SuffixSums(1000), (std::vector<int>{4, 12}));
+  EXPECT_TRUE(geo.list.empty());  // 16 windows: one suffix of 16, broken at 12
+  EXPECT_EQ(geo.inits - geo.retired, 0);
 }
 
 }  // namespace

@@ -352,26 +352,6 @@ struct CkptOptions {
   int throttle_ms = 0;   ///< per-cycle sleep (crash-recovery harness aid)
 };
 
-/// One monitored input file's driver position (mirrors
-/// ckpt::DriverFileState so a snapshot can resume the feed loop exactly).
-struct DriverPos {
-  std::string path;
-  int64_t frames_fed = 0;
-  bool done = false;
-  int stream_id = 0;
-};
-
-std::vector<ckpt::DriverFileState> ToDriverSection(
-    const std::vector<DriverPos>& pos) {
-  std::vector<ckpt::DriverFileState> out;
-  out.reserve(pos.size());
-  for (const DriverPos& p : pos) {
-    out.push_back(ckpt::DriverFileState{p.path, p.frames_fed, p.done,
-                                        p.stream_id});
-  }
-  return out;
-}
-
 /// Parses a --priority-map spec `IDX=CLASS[,IDX=CLASS...]`, where IDX is
 /// the 1-based position of a stream file on the command line and CLASS is
 /// high|normal|low. Files not named default to normal. InvalidArgument on
@@ -473,7 +453,7 @@ qos::QosConfig BuildQosConfig(const Args& a) {
 /// parameters.)
 Status CheckRestoredState(const ckpt::SnapshotState& state,
                           const core::QueryDb& positional_db,
-                          const std::vector<DriverPos>& pos) {
+                          const std::vector<ckpt::DriverFileState>& pos) {
   if (positional_db.k != state.k ||
       positional_db.hash_seed != state.hash_seed) {
     return Status::FailedPrecondition(
@@ -499,18 +479,14 @@ Status CheckRestoredState(const ckpt::SnapshotState& state,
   return Status::OK();
 }
 
-/// Loads the restore snapshot and applies its driver positions to \p pos.
-Result<ckpt::SnapshotState> LoadRestoreState(ckpt::Checkpointer* ckpt,
-                                             const core::QueryDb& positional_db,
-                                             std::vector<DriverPos>* pos) {
+/// Loads the restore snapshot and resumes \p pos at its driver positions.
+Result<ckpt::SnapshotState> LoadRestoreState(
+    ckpt::Checkpointer* ckpt, const core::QueryDb& positional_db,
+    std::vector<ckpt::DriverFileState>* pos) {
   auto state = ckpt->LoadLatest();
   if (!state.ok()) return state.status();
   VCD_RETURN_IF_ERROR(CheckRestoredState(*state, positional_db, *pos));
-  for (size_t i = 0; i < pos->size(); ++i) {
-    (*pos)[i].frames_fed = state->driver[i].frames_fed;
-    (*pos)[i].done = state->driver[i].done;
-    (*pos)[i].stream_id = state->driver[i].stream_id;
-  }
+  *pos = state->driver;
   return state;
 }
 
@@ -583,9 +559,11 @@ int RunMonitor(const Args& a, const core::DetectorConfig& config,
     ckptr = std::make_unique<ckpt::Checkpointer>(std::move(*c));
   }
 
-  std::vector<DriverPos> pos;
+  // One driver position per input file: the DRIVER section a snapshot
+  // records, so a restored run resumes the feed loop exactly.
+  std::vector<ckpt::DriverFileState> pos;
   for (size_t s = 1; s < a.positional.size(); ++s) {
-    pos.push_back(DriverPos{a.positional[s], 0, false, 0});
+    pos.push_back(ckpt::DriverFileState{a.positional[s], 0, false, 0});
   }
 
   if (copt.restore) {
@@ -619,7 +597,7 @@ int RunMonitor(const Args& a, const core::DetectorConfig& config,
       return;
     }
     state->query_db = db_bytes;
-    state->driver = ToDriverSection(pos);
+    state->driver = pos;
     if (Status st = ckptr->Save(*state); !st.ok()) {
       std::fprintf(stderr, "warning: checkpoint save failed: %s\n",
                    st.ToString().c_str());
@@ -716,7 +694,7 @@ int RunMonitor(const Args& a, const core::DetectorConfig& config,
       next_dump_ns = obs::NowNanos() + interval_ns;
     }
   }
-  for (DriverPos& p : pos) {
+  for (ckpt::DriverFileState& p : pos) {
     if (p.stream_id <= 0) continue;
     if (Status st = (*exec)->CloseStream(p.stream_id); !st.ok()) return Fail(st);
     p.stream_id = 0;
